@@ -143,9 +143,12 @@ def _validate_params(cfg: ScenarioConfig):
             if key in ("gamma",) and value < 0:
                 raise ConfigError(f"{key} must be non-negative", field=f"params.{key}")
             if key in ("mass", "sigma", "spacing", "horizon", "dt", "boson_mass",
-                       "cutoff", "r", "separation", "r_min", "r_max", "epsilon") \
+                       "cutoff", "r", "separation", "r_min", "r_max", "epsilon",
+                       "tolerance") \
                     and value <= 0 and not (key == "epsilon" and merged.get("strength", 0) == 0):
                 raise ConfigError(f"{key} must be positive", field=f"params.{key}")
+            if key == "p_left" and not 0.0 < value < 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1)", field=f"params.{key}")
             if key in ("n_traj", "n_samples", "n_steps", "n_points") and value < 1:
                 raise ConfigError(f"{key} must be at least 1", field=f"params.{key}")
     cfg.params = merged
@@ -528,7 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
 

@@ -156,10 +156,6 @@ class DensityMatrix:
     def from_state(cls, state: QuantumState) -> "DensityMatrix":
         return state.density_matrix()
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
 
 @dataclass(frozen=True)
 class LatticeOperator:

@@ -15,22 +15,6 @@ def mean_se(values: np.ndarray):
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
 
 
-def weighted_mean_se(values: np.ndarray, weights: np.ndarray):
-    """Self-normalized importance-sampling mean with linearized SE.
-
-    Biased O(1/n) but consistent; the SE comes from the delta method for
-    the ratio estimator.
-    """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    wsum = w.sum()
-    if wsum <= 0.0:
-        raise ZeroDivisionError("weights sum to zero")
-    m = float((w * v).sum() / wsum)
-    se = float(np.sqrt((w * w * (v - m) ** 2).sum()) / wsum)
-    return m, se
-
-
 def block_sums(values: np.ndarray, n_blocks: int) -> np.ndarray:
     """Partition leading axis into n_blocks contiguous blocks and sum each."""
     v = np.asarray(values)

@@ -56,7 +56,6 @@ class InfluencePhase:
     times: np.ndarray
     time_step: float
     volume_element: float = 1.0
-    time_ordering: str = "theta-half"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

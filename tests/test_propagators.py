@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -269,3 +272,77 @@ def test_equal_time_pv_kernel_psd_report_matches_eigen_oracle():
     report = gf.verify_psd(kern, trials=200, seed=3)
     oracle = float(np.linalg.eigvalsh(kern).min())
     assert report.min_eigenvalue == pytest.approx(oracle, rel=1e-12)
+
+
+# ------------------------------------------------------- blocked evaluation
+
+def _stacked_pv_like(p):
+    """Stacked complex integrand of the shape `_pv_values` integrates."""
+    lags = np.array([0.0, 0.3, 1.1, 2.5])
+    om = np.sqrt(p * p + 1.0)
+    return np.exp(-1j * np.outer(lags, om)) * (p * p * np.sinc(p / np.pi) / om)[None, :]
+
+
+@pytest.mark.parametrize("block_panels", [16, 50, 128])
+@pytest.mark.parametrize("cores", [1, 4])
+def test_blocked_radial_integral_is_bit_identical(monkeypatch, block_panels, cores):
+    """Any block size and worker count gives exactly the one-shot result."""
+    pmax, osc = 40.0, 10.0
+    monkeypatch.setattr(pg, "_BLOCK_PANELS", 10 ** 9)
+    one_shot = pg._radial_integral(_stacked_pv_like, pmax, osc, min_nodes=64)
+    p, w = pg._panel_nodes(pmax, 512)
+    reference = _stacked_pv_like(p) @ w
+    assert np.array_equal(one_shot, reference)
+
+    monkeypatch.setattr(pg, "_BLOCK_PANELS", block_panels)
+    monkeypatch.setattr(pg.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    threads_before = threading.active_count()
+    assert len(p) > 3 * block_panels * 8           # several blocks
+    assert np.array_equal(pg._blocked_values(_stacked_pv_like, p) @ w, reference)
+    blocked = pg._radial_integral(_stacked_pv_like, pmax, osc, min_nodes=64)
+    assert blocked.shape == (4,)
+    assert np.array_equal(blocked, one_shot)
+    assert threading.active_count() == threads_before
+
+
+def test_blocked_values_stress_more_workers_than_cores(monkeypatch):
+    """128 four-panel blocks on more threads than cores, switching often:
+    a lost or misplaced slice write would break exact equality."""
+    p, _ = pg._panel_nodes(40.0, 512)
+    reference = _stacked_pv_like(p)
+    monkeypatch.setattr(pg, "_BLOCK_PANELS", 4)
+    monkeypatch.setattr(pg.os, "sched_getaffinity", lambda pid: set(range(16)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(pg._blocked_values(_stacked_pv_like, p), reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tabulate_omega_rows_equal_uncached_quadrature():
+    s = spec(lam=10.0, g=1.0)
+    r_values, horizon = [0.5, 1.0, 3.0], 20.0
+    pg.g_t_quadrature.cache_clear()
+    rows = pg.tabulate_omega(s, r_values, horizon)
+    assert pg.g_t_quadrature.cache_info().hits == len(r_values) - 1   # G_T(0)
+    for row, r in zip(rows, r_values):
+        pg.g_t_quadrature.cache_clear()
+        assert row["omega_horizon"] == pg.omega_from_quadrature(s, r, horizon)
+
+
+def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise QuadratureFailureError("refinement failed", estimates=(0.0, 1.0))
+
+    monkeypatch.setattr(pg, "_radial_integral", failing)
+    pg.g_t_quadrature.cache_clear()
+    s = spec(lam=7.0)
+    for _ in range(2):
+        with pytest.raises(QuadratureFailureError):
+            pg.g_t_quadrature(s, 1.25, 3.0)
+    assert len(calls) == 2
