@@ -121,9 +121,22 @@ _PARAM_SPECS = {
 }
 
 _NUMERIC = (int, float)
+_POSITIVE = ("mass", "sigma", "spacing", "horizon", "horizon_rates", "dt", "boson_mass",
+             "cutoff", "r", "r_values", "separation", "r_min", "r_max", "epsilon",
+             "tolerance")
+_NON_NEGATIVE = ("coupling", "horizons")
+# with no collapse there is no outcome to count and no rate to fit
+_POSITIVE_GAMMA = ("born_rule", "amplification_csl")
+
+
+def _require(ok: bool, key: str, message: str):
+    if not ok:
+        raise ConfigError(f"{key} {message}", field=f"params.{key}")
 
 
 def _validate_params(cfg: ScenarioConfig):
+    """Merge defaults into cfg.params and reject, naming the field, any
+    value the scenario cannot run with."""
     allowed = _PARAM_SPECS[cfg.kind]
     for key in cfg.params:
         if key not in allowed:
@@ -132,25 +145,40 @@ def _validate_params(cfg: ScenarioConfig):
     merged = dict(allowed)
     merged.update(cfg.params)
     for key, value in merged.items():
-        default = allowed[key]
+        default, items = allowed[key], [value]
         if isinstance(default, list):
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ConfigError(f"{key} must be a non-empty list",
-                                  field=f"params.{key}")
-        elif isinstance(default, _NUMERIC):
-            if not isinstance(value, _NUMERIC) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be numeric", field=f"params.{key}")
-            if key in ("gamma",) and value < 0:
-                raise ConfigError(f"{key} must be non-negative", field=f"params.{key}")
-            if key in ("mass", "sigma", "spacing", "horizon", "dt", "boson_mass",
-                       "cutoff", "r", "separation", "r_min", "r_max", "epsilon",
-                       "tolerance") \
-                    and value <= 0 and not (key == "epsilon" and merged.get("strength", 0) == 0):
-                raise ConfigError(f"{key} must be positive", field=f"params.{key}")
-            if key == "p_left" and not 0.0 < value < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1)", field=f"params.{key}")
-            if key in ("n_traj", "n_samples", "n_steps", "n_points") and value < 1:
-                raise ConfigError(f"{key} must be at least 1", field=f"params.{key}")
+            _require(isinstance(value, (list, tuple)) and len(value) > 0, key,
+                     "must be a non-empty list")
+            default, items = default[0], value
+        for v in items:
+            if isinstance(default, int):
+                _require(isinstance(v, int) and not isinstance(v, bool), key,
+                         "must be an integer")
+            else:
+                _require(isinstance(v, _NUMERIC) and not isinstance(v, bool), key,
+                         "must be numeric")
+            if key == "gamma" and cfg.kind in _POSITIVE_GAMMA:
+                _require(v > 0, key, "must be positive")
+            elif key == "gamma" or key in _NON_NEGATIVE:
+                _require(v >= 0, key, "must be non-negative")
+            elif key in _POSITIVE:
+                _require(v > 0, key, "must be positive")
+            elif key == "p_left":
+                _require(0.0 < v < 1.0, key, "must lie in (0, 1)")
+            elif key == "fd_delta":
+                _require(v != 0, key, "must be non-zero")
+            elif isinstance(default, int):
+                _require(v >= 1, key, "must be at least 1")
+    if "cutoff" in merged:
+        _require(merged["cutoff"] > merged["boson_mass"], "cutoff", "must exceed boson_mass")
+    if cfg.kind == "amplification_csl":
+        _require(merged["separation"] >= 5.0 * merged["sigma"], "separation",
+                 "must be at least 5 sigma")
+        _require(merged["n_values"][0] == 1, "n_values",
+                 "must start with 1 (the rates are ratios to N = 1)")
+    if cfg.kind == "csl_unraveling":
+        _require(int(round(merged["horizon"] / merged["dt"])) >= 1, "horizon",
+                 "must be at least dt/2 (one step)")
     cfg.params = merged
 
 
@@ -490,36 +518,34 @@ CSV_COLUMNS = ("scenario", "criterion", "measured", "target", "tolerance",
                "se", "passed")
 
 
-def emit_report(report: RunReport, fmt: str, out_dir) -> list:
-    """Write the report; CSV columns are stable across versions."""
+def emit_report(report: RunReport, out_dir) -> list:
+    """Write the report as CSV (plus one CSV per table) and JSON; CSV
+    columns are stable across versions."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{report.scenario}_report.csv")
-        with open(path, "w", newline="") as f:
-            writer = _csv.writer(f)
-            writer.writerow(CSV_COLUMNS)
-            for c in report.criteria:
-                writer.writerow([report.scenario, c.name, repr(c.measured),
-                                 repr(c.target), repr(c.tolerance), repr(c.se),
-                                 c.passed])
-        paths.append(path)
-        for name, rows in report.tables.items():
-            tpath = os.path.join(out_dir, f"{name}.csv")
-            if rows:
-                with open(tpath, "w", newline="") as f:
-                    writer = _csv.DictWriter(f, fieldnames=list(rows[0]))
-                    writer.writeheader()
-                    writer.writerows(rows)
-                paths.append(tpath)
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{report.scenario}_report.json")
-        payload = report.numeric_dict()
-        payload["wall_time_s"] = report.wall_time_s
-        payload["report_hash"] = report.hash()
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-        paths.append(path)
+    path = os.path.join(out_dir, f"{report.scenario}_report.csv")
+    with open(path, "w", newline="") as f:
+        writer = _csv.writer(f)
+        writer.writerow(CSV_COLUMNS)
+        for c in report.criteria:
+            writer.writerow([report.scenario, c.name, repr(c.measured),
+                             repr(c.target), repr(c.tolerance), repr(c.se),
+                             c.passed])
+    paths = [path]
+    for name, rows in report.tables.items():
+        tpath = os.path.join(out_dir, f"{name}.csv")
+        if rows:
+            with open(tpath, "w", newline="") as f:
+                writer = _csv.DictWriter(f, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            paths.append(tpath)
+    path = os.path.join(out_dir, f"{report.scenario}_report.json")
+    payload = report.numeric_dict()
+    payload["wall_time_s"] = report.wall_time_s
+    payload["report_hash"] = report.hash()
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+    paths.append(path)
     return paths
 
 
@@ -586,7 +612,7 @@ def main(argv=None) -> int:
         print(f"run failed: {exc}")
         return 1
     out_dir = _resolve_out_dir(args.out or config.output_dir)
-    paths = emit_report(report, "both", out_dir)
+    paths = emit_report(report, out_dir)
     for c in report.criteria:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: measured={c.measured:.6g} "

@@ -177,14 +177,13 @@ def coherence_exponent(phase: nm.InfluencePhase, n_steps: int = None) -> float:
 
 
 def amplification_scan(spec: pg.PropagatorSpec, n_values,
-                       geometry: AmplificationGeometry,
-                       plateau_tolerance: float = 0.05) -> AmplificationScan:
+                       geometry: AmplificationGeometry) -> AmplificationScan:
     """Exponent of the cat-coherence suppression for each particle number.
 
     The decay is transient, so the fitted exponent is the accumulated
     value at the horizon, guarded by a plateau-flatness check (the last
-    quarter of the window must not move it by more than plateau_tolerance
-    in relative terms). Geometries violating the separation invariants are
+    quarter of the window must not move it by more than 5% in relative
+    terms). Geometries violating the separation invariants are
     flagged out-of-regime rather than rejected.
     """
     mb = spec.boson_mass
@@ -195,7 +194,7 @@ def amplification_scan(spec: pg.PropagatorSpec, n_values,
         phase, _ = _cat_phase(spec, geometry, int(n))
         full = coherence_exponent(phase)
         partial = coherence_exponent(phase, n_steps=int(0.75 * geometry.n_steps))
-        if in_regime and abs(full - partial) > plateau_tolerance * abs(full):
+        if in_regime and abs(full - partial) > 0.05 * abs(full):
             raise FitError(
                 "coherence exponent not saturated at the horizon",
                 times=np.array([0.75 * geometry.horizon, geometry.horizon]),

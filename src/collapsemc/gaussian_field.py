@@ -14,11 +14,12 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotPositiveSemidefiniteError, NumericFailureError
+from .errors import InvalidParameterError, NotPositiveSemidefiniteError
+from .hilbert import adjoint_error, check_finite
 from .streams import stream
 
 log = logging.getLogger(__name__)
@@ -44,11 +45,9 @@ class KernelPair:
         n = self.gamma.shape[0]
         if self.gamma.shape != (n, n) or self.relation.shape != (n, n):
             raise InvalidParameterError("kernels must be square and same size")
-        scale = max(1.0, np.abs(self.gamma).max())
-        if np.abs(self.gamma - self.gamma.conj().T).max() > KERNEL_SYMMETRY_TOL * scale:
+        if adjoint_error(self.gamma) > KERNEL_SYMMETRY_TOL:
             raise InvalidParameterError("covariance kernel must be Hermitian")
-        s_scale = max(1.0, np.abs(self.relation).max())
-        if np.abs(self.relation - self.relation.T).max() > KERNEL_SYMMETRY_TOL * s_scale:
+        if adjoint_error(self.relation, transpose=True) > KERNEL_SYMMETRY_TOL:
             raise InvalidParameterError("relation kernel must be symmetric")
         if self.psd_floor is None:
             self.psd_floor = 1e-9 * max(float(np.abs(np.diag(self.gamma)).max()), 1.0)
@@ -95,8 +94,7 @@ class FieldSample:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise NumericFailureError("field sample contains non-finite entries")
+        check_finite(self.values, "field sample contains non-finite entries")
 
 
 @dataclass
@@ -165,8 +163,7 @@ def relation_factor(kernel: np.ndarray) -> tuple:
     E[ηη*] is whatever this construction implies (a free parameter).
     """
     c = np.asarray(kernel, dtype=complex)
-    scale = max(1.0, np.abs(c).max())
-    if np.abs(c - c.T).max() > KERNEL_SYMMETRY_TOL * scale:
+    if adjoint_error(c, transpose=True) > KERNEL_SYMMETRY_TOL:
         raise InvalidParameterError("relation kernel must be symmetric")
     wa, va = np.linalg.eigh(0.5 * (c.real + c.real.T))
     wb, vb = np.linalg.eigh(0.5 * (c.imag + c.imag.T))
@@ -219,8 +216,7 @@ def verify_psd(kernel: np.ndarray, trials: int, seed: int = 0) -> PsdReport:
     positivity and callers decide what to clip.
     """
     d = np.asarray(kernel, dtype=complex)
-    scale = max(1.0, np.abs(d).max())
-    if np.abs(d - d.conj().T).max() > KERNEL_SYMMETRY_TOL * scale:
+    if adjoint_error(d) > KERNEL_SYMMETRY_TOL:
         raise InvalidParameterError("verify_psd expects a Hermitian kernel")
     rng = stream(seed)
     n = d.shape[0]
@@ -249,11 +245,6 @@ class ReweightedEnsemble:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights - self.log_weights.max())
 
-    def expectation(self, fn) -> complex:
-        vals = np.array([fn(s) for s in self.samples])
-        w = self.weights
-        return complex((vals * w).sum() / w.sum())
-
 
 def quartic_log_weights(samples: np.ndarray, spec: QuarticReweightSpec,
                         volume_element: float = 1.0) -> np.ndarray:
@@ -270,8 +261,7 @@ def reweight_quartic(samples, spec: QuarticReweightSpec,
     arr = np.asarray([s.values if isinstance(s, FieldSample) else s for s in samples],
                      dtype=complex)
     logw = quartic_log_weights(arr, spec, volume_element)
-    if not np.all(np.isfinite(logw)):
-        raise NumericFailureError("non-finite quartic weight")
+    check_finite(logw, "non-finite quartic weight")
     return ReweightedEnsemble(samples=arr, log_weights=logw)
 
 

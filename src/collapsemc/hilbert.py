@@ -17,11 +17,48 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import IntegrationFailureError, InvalidParameterError
+from .errors import IntegrationFailureError, InvalidParameterError, NumericFailureError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
+DIAGONAL_TOL = 1e-12
+LINDBLAD_REL_TOL = 1e-9
 MAX_DENSE_DIM = 4096
+
+
+def as_matrix(op) -> np.ndarray:
+    """Complex matrix of an operator, a density matrix or a plain array."""
+    return np.asarray(getattr(op, "entries", op), dtype=complex)
+
+
+def adjoint_error(m: np.ndarray, transpose: bool = False) -> float:
+    """max|m − m†| (max|m − mᵀ| with transpose) relative to max(1, max|m|).
+
+    Callers compare it with their own tolerance: below it, m is Hermitian
+    (symmetric).
+    """
+    other = m.T if transpose else m.conj().T
+    return float(np.abs(m - other).max() / max(1.0, np.abs(m).max()))
+
+
+def diagonals(ops) -> np.ndarray:
+    """Real diagonals of the operators, one row each, or None when an
+    off-diagonal entry exceeds DIAGONAL_TOL·max(1, max|m|)."""
+    mats = [as_matrix(o) for o in ops]
+    diag = np.empty((len(mats), mats[0].shape[0]))
+    for i, m in enumerate(mats):
+        d = np.diag(m)
+        if np.abs(m - np.diag(d)).max() > DIAGONAL_TOL * max(1.0, np.abs(m).max()):
+            return None
+        diag[i] = d.real
+    return diag
+
+
+def check_finite(values: np.ndarray, message: str, step_index: int = None):
+    """Raise NumericFailureError unless every entry (real and imaginary
+    part) is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericFailureError(message, step_index=step_index)
 
 
 @dataclass(frozen=True)
@@ -66,14 +103,6 @@ class LatticeGrid:
     def horizon(self) -> float:
         return self.n_steps * self.time_step
 
-    def field_times(self) -> np.ndarray:
-        """Midpoint time nodes carried by noise/field samples, one per step."""
-        return (np.arange(self.n_steps) + 0.5) * self.time_step
-
-    def state_times(self) -> np.ndarray:
-        """Step-boundary times at which states are recorded."""
-        return np.arange(self.n_steps + 1) * self.time_step
-
     @classmethod
     def line(cls, n_sites: int, spacing: float, time_step: float, n_steps: int,
              axis: int = 0) -> "LatticeGrid":
@@ -115,10 +144,6 @@ class QuantumState:
             raise InvalidParameterError("cannot normalize a zero state")
         return QuantumState(self.amplitudes / n)
 
-    def density_matrix(self) -> "DensityMatrix":
-        psi = self.amplitudes / np.sqrt(self.norm_squared)
-        return DensityMatrix(np.outer(psi, psi.conj()))
-
     def expectation(self, op: np.ndarray) -> float:
         psi = self.amplitudes
         return float(np.real(np.vdot(psi, op @ psi)) / self.norm_squared)
@@ -139,22 +164,17 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, trace_tol: float = TRACE_TOL, eig_floor: float = -1e-10):
-        h_err = np.abs(self.entries - self.entries.conj().T).max()
-        scale = max(1.0, np.abs(self.entries).max())
-        if h_err > HERMITICITY_TOL * scale:
+    def validate(self, eig_floor: float = -1e-10):
+        h_err = adjoint_error(self.entries)
+        if h_err > HERMITICITY_TOL:
             raise InvalidParameterError(f"density matrix not Hermitian (err={h_err:.3e})")
         tr = np.trace(self.entries).real
-        if abs(tr - 1.0) > trace_tol:
-            raise InvalidParameterError(f"trace {tr} deviates from 1 beyond {trace_tol}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidParameterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         min_eig = float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T)).min())
         if min_eig < eig_floor:
             raise InvalidParameterError(f"negative eigenvalue {min_eig:.3e}")
         return self
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> "DensityMatrix":
-        return state.density_matrix()
 
 
 @dataclass(frozen=True)
@@ -174,9 +194,8 @@ class LatticeOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        scale = max(1.0, np.abs(self.entries).max())
-        return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol * scale)
+    def is_hermitian(self) -> bool:
+        return adjoint_error(self.entries) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -288,10 +307,6 @@ def hopping_hamiltonian(grid: LatticeGrid, hop: float) -> LatticeOperator:
     return LatticeOperator(h, label="hamiltonian")
 
 
-def _as_matrix(op) -> np.ndarray:
-    return op.entries if isinstance(op, LatticeOperator) else np.asarray(op, dtype=complex)
-
-
 def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, collapse_mats: list,
                  gamma: float, volume_element: float) -> np.ndarray:
     """dρ/dt = −i[H₀,ρ] − (γ/2)·a³·Σ_x [M(x),[M(x),ρ]]."""
@@ -307,16 +322,16 @@ def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, collapse_mats: list,
 
 
 def evolve_lindblad(rho: DensityMatrix, h0, collapse_ops, gamma: float, t: float,
-                    volume_element: float = 1.0, rel_tol: float = 1e-9) -> DensityMatrix:
+                    volume_element: float = 1.0) -> DensityMatrix:
     """Propagate ρ for time t under the mass-density Lindblad equation.
 
     Classic fixed-step RK4; the step count is doubled until the Richardson
-    estimate of the relative error drops below rel_tol·max(t, 1).
+    estimate of the relative error drops below LINDBLAD_REL_TOL·max(t, 1).
     """
     if t < 0:
         raise InvalidParameterError("t must be non-negative")
-    h0_mat = _as_matrix(h0) if h0 is not None else None
-    mats = [_as_matrix(op) for op in (collapse_ops or [])]
+    h0_mat = as_matrix(h0) if h0 is not None else None
+    mats = [as_matrix(op) for op in (collapse_ops or [])]
     r0 = np.array(rho.entries, dtype=complex)
     if t == 0.0:
         return DensityMatrix(r0)
@@ -341,7 +356,7 @@ def evolve_lindblad(rho: DensityMatrix, h0, collapse_ops, gamma: float, t: float
         return r
 
     n = max(16, int(np.ceil(2.0 * t * generator_scale)))
-    threshold = rel_tol * max(t, 1.0)
+    threshold = LINDBLAD_REL_TOL * max(t, 1.0)
     coarse = integrate(n)
     for _ in range(22):
         fine = integrate(2 * n)
@@ -360,8 +375,7 @@ def evolve_lindblad(rho: DensityMatrix, h0, collapse_ops, gamma: float, t: float
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """(1/2)·Σ singular values of (ρ₁ − ρ₂)."""
-    a = _as_matrix(rho1.entries if isinstance(rho1, DensityMatrix) else rho1)
-    b = _as_matrix(rho2.entries if isinstance(rho2, DensityMatrix) else rho2)
+    a, b = as_matrix(rho1), as_matrix(rho2)
     if a.shape != b.shape:
         raise InvalidParameterError("trace_distance requires equal dimensions")
     sv = np.linalg.svd(a - b, compute_uv=False)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats as _st
 
+from .hilbert import DensityMatrix, trace_distance
+
 
 def mean_se(values: np.ndarray):
     """Sample mean and its standard error."""
@@ -38,6 +40,15 @@ def jackknife_statistic(block_totals: np.ndarray, block_counts: np.ndarray, stat
     loo = np.array([statistic((grand - totals[b]) / (n - counts[b])) for b in range(nb)])
     se = float(np.sqrt((nb - 1) / nb * ((loo - loo.mean()) ** 2).sum()))
     return float(full), se
+
+
+def trace_distance_jackknife(block_totals: np.ndarray, block_counts: np.ndarray,
+                             target):
+    """Jackknife of the trace distance between the Hermitian part of the
+    block-summed mean density matrix and the target. Returns (value, SE)."""
+    return jackknife_statistic(
+        block_totals, block_counts,
+        lambda m: trace_distance(DensityMatrix(0.5 * (m + m.conj().T)), target))
 
 
 def chi2_pvalue(counts, probs) -> float:

@@ -21,17 +21,17 @@ for the ket and one for the bra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussian_field as gf
-from .errors import (DegenerateEnsembleError, InvalidParameterError,
-                     NumericFailureError, UnsupportedRegimeError)
-from .hilbert import DensityMatrix, QuantumState
-from .streams import stream
+from .errors import DegenerateEnsembleError, InvalidParameterError, UnsupportedRegimeError
+from .hilbert import (DensityMatrix, QuantumState, adjoint_error, as_matrix, check_finite,
+                      diagonals)
+from .mcstats import mean_se, trace_distance_jackknife
 
-DIAGONAL_TOL = 1e-12
+FIELD_CHUNK = 2048              # samples per closed-form evolution batch
 
 
 def time_ordered_kernel(kernel: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -59,15 +59,14 @@ class InfluencePhase:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        mats = [np.asarray(getattr(c, "entries", c), dtype=complex) for c in self.couplings]
+        mats = [as_matrix(c) for c in self.couplings]
         self.couplings = mats
         n_points = len(self.times) * len(mats)
         if self.kernel.n_points != n_points:
             raise InvalidParameterError(
                 f"kernel has {self.kernel.n_points} points, expected {n_points}")
         for m in mats:
-            scale = max(1.0, np.abs(m).max())
-            if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+            if adjoint_error(m) > 1e-10:
                 raise InvalidParameterError("coupling operators must be Hermitian")
 
     @property
@@ -88,17 +87,12 @@ class InfluencePhase:
         Raises UnsupportedRegimeError unless every coupling is diagonal in
         the fixed basis (the documented restriction).
         """
-        j = np.empty((self.dim, self.n_sites))
-        for x, m in enumerate(self.couplings):
-            off = m - np.diag(np.diag(m))
-            scale = max(1.0, np.abs(m).max())
-            if np.abs(off).max() > DIAGONAL_TOL * scale:
-                raise UnsupportedRegimeError(
-                    "couplings must be diagonal in a fixed basis")
-            j[:, x] = np.real(np.diag(m))
+        j = diagonals(self.couplings)
+        if j is None:
+            raise UnsupportedRegimeError("couplings must be diagonal in a fixed basis")
         weight = self.time_step * self.volume_element
         # time-major layout: J[α, k*n_x + x]
-        full = np.repeat(j[:, None, :], self.n_steps, axis=1).reshape(self.dim, -1)
+        full = np.repeat(j.T[:, None, :], self.n_steps, axis=1).reshape(self.dim, -1)
         return weight * full
 
     def ordered_kernel(self) -> np.ndarray:
@@ -111,8 +105,7 @@ class InfluencePhase:
 
 
 def build_influence_phase(kernel_pair: gf.KernelPair, couplings, times,
-                          time_step: float, volume_element: float = 1.0,
-                          clip: bool = True):
+                          time_step: float, volume_element: float = 1.0):
     """Factor the kernel (clipping within its floor) and return the phase
     built on the clipped pair together with the sampling factor.
 
@@ -120,7 +113,7 @@ def build_influence_phase(kernel_pair: gf.KernelPair, couplings, times,
     influence oracle all see the same (positive semi-definite) object.
     """
     factor = gf.factor_kernel(kernel_pair)
-    if clip and factor.clipped_mass > 0.0:
+    if factor.clipped_mass > 0.0:
         pair = clipped_pair(factor, psd_floor=kernel_pair.psd_floor)
     else:
         pair = kernel_pair
@@ -164,13 +157,11 @@ def influence_phase_apply(phase: InfluencePhase, rho_f: DensityMatrix,
     return DensityMatrix(0.5 * (out + out.conj().T))
 
 
-def linear_states(phase: InfluencePhase, xi: np.ndarray, psi0: np.ndarray,
-                  keep: str = "all") -> np.ndarray:
+def linear_states(phase: InfluencePhase, xi: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """Closed-form linear states for a batch of field realizations.
 
-    xi has shape (n_samples, P); returns (n_samples, n_steps+1, dim) for
-    keep="all" or (n_samples, dim) for keep="final". Exact for the lattice
-    model at any step size (all step operators commute).
+    xi has shape (n_samples, P); returns (n_samples, n_steps+1, dim). Exact
+    for the lattice model at any step size (all step operators commute).
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
     psi0 = np.asarray(psi0, dtype=complex)
@@ -188,15 +179,10 @@ def linear_states(phase: InfluencePhase, xi: np.ndarray, psi0: np.ndarray,
         jk = j[:, :k * n_x]
         det[k] = -0.5 * np.einsum("ap,pq,aq->a", jk, memory[:k * n_x, :k * n_x], jk)
 
-    if keep == "final":
-        expo = -1j * increments.sum(axis=1) + det[-1][None, :]
-        states = np.exp(expo) * psi0[None, :]
-    else:
-        cum = np.concatenate([np.zeros((len(xi), 1, dim), dtype=complex),
-                              np.cumsum(increments, axis=1)], axis=1)
-        states = np.exp(-1j * cum + det[None, :, :]) * psi0[None, None, :]
-    if not np.all(np.isfinite(states.view(float))):
-        raise NumericFailureError("non-finite amplitude in closed-form evolution")
+    cum = np.concatenate([np.zeros((len(xi), 1, dim), dtype=complex),
+                          np.cumsum(increments, axis=1)], axis=1)
+    states = np.exp(-1j * cum + det[None, :, :]) * psi0[None, None, :]
+    check_finite(states, "non-finite amplitude in closed-form evolution")
     return states
 
 
@@ -217,8 +203,7 @@ def step_linear_nonmarkov(psi: QuantumState, xi: gf.FieldSample, eta,
         drive = drive + np.asarray(eta.values, dtype=complex)[sl]
     factors = np.exp(-1j * (j[:, step_index, :] @ drive))
     amps = psi.amplitudes * factors
-    if not np.all(np.isfinite(amps.view(float))):
-        raise NumericFailureError("non-finite amplitude", step_index=step_index)
+    check_finite(amps, "non-finite amplitude", step_index)
     return QuantumState(amps)
 
 
@@ -239,7 +224,6 @@ class WeightedFieldEnsemble:
         return len(self.weights)
 
     def weight_mean_se(self):
-        from .mcstats import mean_se
         return mean_se(self.weights)
 
     def expectation(self, values: np.ndarray):
@@ -267,9 +251,9 @@ class BoundarySpec:
 
     def __post_init__(self):
         self.rho_out = np.asarray(self.rho_out, dtype=complex)
-        scale = max(1.0, np.abs(self.rho_out).max())
-        if np.abs(self.rho_out - self.rho_out.conj().T).max() > 1e-10 * scale:
+        if adjoint_error(self.rho_out) > 1e-10:
             raise InvalidParameterError("rho_out must be Hermitian")
+        scale = max(1.0, np.abs(self.rho_out).max())
         evs = np.linalg.eigvalsh(0.5 * (self.rho_out + self.rho_out.conj().T))
         if evs.min() < -1e-10 * scale:
             raise InvalidParameterError("rho_out must be positive semi-definite")
@@ -348,12 +332,7 @@ class UnravelingStats:
     clipped_mass: float
 
     def trace_distance_to(self, target: DensityMatrix):
-        from .hilbert import trace_distance
-        from .mcstats import jackknife_statistic
-        return jackknife_statistic(
-            self.block_totals, self.block_counts,
-            lambda m: trace_distance(DensityMatrix(0.5 * (m + m.conj().T)),
-                                     target))
+        return trace_distance_jackknife(self.block_totals, self.block_counts, target)
 
 
 def _sample_xi(factor, seed, index):
@@ -387,8 +366,8 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
                                 for i in range(lo, hi)])
         ket = np.exp(-1j * ((xi + eta_k) @ j.T)) * psi0[None, :]
         bra = np.exp(-1j * ((xi + eta_b) @ j.T)) * psi0[None, :]
-        if not (np.all(np.isfinite(ket.view(float))) and np.all(np.isfinite(bra.view(float)))):
-            raise NumericFailureError("non-finite amplitude in pair ensemble")
+        check_finite(ket, "non-finite amplitude in pair ensemble")
+        check_finite(bra, "non-finite amplitude in pair ensemble")
         block_totals[b] = np.einsum("na,nb->ab", ket, bra.conj())
     rho = block_totals.sum(axis=0) / n_samples
     return UnravelingStats(rho=0.5 * (rho + rho.conj().T),
@@ -411,12 +390,12 @@ class FieldEnsemble:
 
 
 def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
-                       psi0: np.ndarray, n_samples: int, master_seed: int,
-                       chunk: int = 2048) -> FieldEnsemble:
-    """Sample ξ from the a-priori measure and evolve the closed-form states."""
+                       psi0: np.ndarray, n_samples: int, master_seed: int) -> FieldEnsemble:
+    """Sample ξ from the a-priori measure and evolve the closed-form states
+    in batches of FIELD_CHUNK samples."""
     xi_rows, state_rows = [], []
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
+    for lo in range(0, n_samples, FIELD_CHUNK):
+        hi = min(lo + FIELD_CHUNK, n_samples)
         xi = np.stack([_sample_xi(factor, master_seed, i) for i in range(lo, hi)])
         xi_rows.append(xi)
         state_rows.append(linear_states(phase, xi, psi0))
@@ -425,12 +404,10 @@ def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
                          master_seed=master_seed, kernel_hash=factor.kernel_hash)
 
 
-def cooked_ensemble(phase: InfluencePhase, ensemble: FieldEnsemble,
-                    with_shifts: bool = True) -> WeightedFieldEnsemble:
+def cooked_ensemble(phase: InfluencePhase, ensemble: FieldEnsemble) -> WeightedFieldEnsemble:
     """Girsanov-weighted ensemble with per-sample beable shifts attached."""
     wfe = girsanov_field_measure(ensemble.samples, ensemble.final_states)
-    if with_shifts:
-        wfe.beable_shifts = beable_shift(ensemble.states, phase)
+    wfe.beable_shifts = beable_shift(ensemble.states, phase)
     return wfe
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,42 @@ def test_run_omega_table_end_to_end_reproduces_hash(tmp_path, capsys):
     assert hash_line(capsys.readouterr().out) == hash_line(first)
 
 
+# small configs of every other kind, all at seed 5
+END_TO_END = [
+    ("csl_unraveling", {"n_traj": 200, "horizon": 1.0},
+     ("markovian_unraveling_trace_distance", "girsanov_weight_mean")),
+    ("born_rule", {"n_traj": 200, "horizon_rates": 4.0},
+     ("born_rule_frequency", "born_rule_chi2_pvalue", "martingale_deviation_se")),
+    ("amplification_csl", {"n_values": [1, 2], "n_traj": 300},
+     ("csl_amplification_rate_N1_vs_analytic", "csl_amplification_ratio_N1",
+      "csl_amplification_ratio_N2")),
+    ("nonmarkov_unraveling", {"n_samples": 500, "n_steps": 4},
+     ("nonmarkov_unraveling_trace_distance",)),
+    ("beable_stats", {"n_samples": 200, "n_steps": 4},
+     ("girsanov_weight_mean", "beable_shift_quadrature_rel_err")),
+    ("delta_metric", {"r_values": [1], "horizons": [1], "n_steps": 4, "n_samples": 500},
+     ("delta_metric_r1_t1",)),
+    ("quartic_reweight", {"n_samples": 2000},
+     ("quartic_identity_at_zero", "quartic_first_order_derivative")),
+]
+
+
+@pytest.mark.parametrize("kind, params, criteria", END_TO_END,
+                         ids=[kind for kind, _, _ in END_TO_END])
+def test_run_end_to_end_reproduces_hash(tmp_path, capsys, kind, params, criteria):
+    cfg = write_config(tmp_path / f"{kind}.json", kind, params)
+    codes, outs = [], []
+    for out in ("a", "b"):
+        pg.g_t_quadrature.cache_clear()
+        codes.append(cli.main(["run", cfg, "--out", str(tmp_path / out)]))
+        outs.append(capsys.readouterr().out)
+    verdicts = re.findall(r"^\[(PASS|FAIL)\] (\w+):", outs[0], re.M)
+    assert tuple(name for _, name in verdicts) == criteria
+    assert codes[0] == (0 if all(v == "PASS" for v, _ in verdicts) else 1)
+    assert codes[1] == codes[0]
+    assert hash_line(outs[1]) == hash_line(outs[0])
+
+
 def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.json", "omega_table", {"n_pointz": 2})
     assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 2
@@ -55,6 +92,33 @@ def test_amplification_csl_rejects_non_positive_tolerance(tolerance):
         cli.ScenarioConfig.from_dict({"kind": "amplification_csl", "seed": 1,
                                       "params": {"tolerance": tolerance}})
     assert exc.value.field == "params.tolerance"
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("born_rule", {"gamma": 0.0}, "gamma"),
+    ("born_rule", {"horizon_rates": 0.0}, "horizon_rates"),
+    ("amplification_csl", {"gamma": 0.0}, "gamma"),
+    ("amplification_csl", {"n_values": ["a"]}, "n_values"),
+    ("amplification_csl", {"n_values": [0]}, "n_values"),
+    ("amplification_csl", {"n_values": [2, 3]}, "n_values"),
+    ("amplification_csl", {"separation": 4.0}, "separation"),
+    ("quartic_reweight", {"fd_delta": 0.0}, "fd_delta"),
+    ("quartic_reweight", {"strength": 0.0, "epsilon": 0.0}, "epsilon"),
+    ("quartic_reweight", {"n_points": 8.0}, "n_points"),
+    ("beable_stats", {"n_steps": 2.5}, "n_steps"),
+    ("beable_stats", {"coupling": -1.0}, "coupling"),
+    ("csl_unraveling", {"n_traj": 100.0}, "n_traj"),
+    ("csl_unraveling", {"horizon": 0.009}, "horizon"),
+    ("nonmarkov_unraveling", {"n_samples": 10.5}, "n_samples"),
+    ("nonmarkov_unraveling", {"cutoff": 1.0}, "cutoff"),
+    ("omega_table", {"cutoff": 0.5}, "cutoff"),
+    ("delta_metric", {"r_values": [-1.0]}, "r_values"),
+    ("delta_metric", {"horizons": [-1.0]}, "horizons"),
+])
+def test_bad_input_rejected_at_load_naming_field(kind, params, field):
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.from_dict({"kind": kind, "seed": 1, "params": params})
+    assert exc.value.field == f"params.{field}"
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -6,8 +6,8 @@ from collapsemc import csl
 from collapsemc.errors import (DegenerateTrajectoryError, FitError,
                                InvalidParameterError)
 from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
-                                QuantumState, evolve_lindblad, hopping_hamiltonian,
-                                point_mass_ops, trace_distance)
+                                LatticeOperator, QuantumState, evolve_lindblad,
+                                hopping_hamiltonian, point_mass_ops, trace_distance)
 
 
 def two_site(gamma=0.2, mass=1.0, spacing=1.0, dt=0.02, n_steps=100, hop=0.0,
@@ -94,6 +94,15 @@ def test_normalized_step_requires_unit_norm():
     with pytest.raises(InvalidParameterError):
         csl.step_normalized_sse(bad, np.zeros(2), scen.mass_ops, scen.params,
                                 0.01)
+
+
+@pytest.mark.parametrize("step", [csl.step_linear_sse, csl.step_normalized_sse])
+def test_single_step_rejects_non_diagonal_operator(step):
+    scen = two_site()
+    mixing = LatticeOperator(np.array([[1.0, 0.5], [0.5, 0.0]]))
+    psi = QuantumState(scen.psi0.copy())
+    with pytest.raises(InvalidParameterError):
+        step(psi, np.zeros(2), [mixing, scen.mass_ops[1]], scen.params, 0.01)
 
 
 def test_normalized_trajectory_norm_preserved():
@@ -292,6 +301,27 @@ def test_trajectory_seed_determinism():
     for a, b in zip(t1.states, t2.states):
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     t1.check_weight()
+
+
+@pytest.mark.parametrize("hop", [0.0, 0.3])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_trajectory_equals_ensemble_row(normalized, hop):
+    """A single trajectory is row `index` of the ensemble: final weight
+    (linear) or final probe value (normalized)."""
+    scen = two_site(gamma=0.3, dt=0.02, n_steps=60, hop=hop)
+    n = 20
+    if normalized:
+        stats = csl.run_normalized_ensemble(scen, n, master_seed=18, probe_sites=(0,))
+    else:
+        stats = csl.run_linear_ensemble(scen, n, master_seed=18)
+    for i in (0, 7, n - 1):
+        traj = csl.run_trajectory(scen, master_seed=18, index=i, normalized=normalized)
+        if normalized:
+            measured = traj.states[-1].expectation(scen.mass_ops[0].entries)
+            expected = stats.probe_values[i, -1, 0]
+        else:
+            measured, expected = traj.weight, stats.weights[i]
+        assert measured == pytest.approx(expected, rel=1e-12)
 
 
 def test_ensemble_independent_of_blocking():
