@@ -3,7 +3,8 @@
 Scenarios are described by versioned JSON configs; every run is a pure
 function of (config, master seed) and the report hash covers every numeric
 output, so re-running a config reproduces the hash bit for bit. Wall time
-is recorded but excluded from the hash.
+is recorded but excluded from the hash. Every scenario runner returns
+(criteria, tables); each table is a list of rows with the same keys.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _criterion(name, measured, target, tolerance, se=0.0, details=None):
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _run_csl_unraveling(cfg: ScenarioConfig) -> list:
+def _run_csl_unraveling(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
     n_steps = int(round(p["horizon"] / p["dt"]))
     grid = LatticeGrid.line(2, p["spacing"], p["dt"], n_steps)
@@ -252,10 +253,10 @@ def _run_csl_unraveling(cfg: ScenarioConfig) -> list:
         _criterion("markovian_unraveling_trace_distance", td, 0.0, 3.0 * se, se,
                    {"n_traj": int(p["n_traj"]), "jackknife_se": se}),
         _criterion("girsanov_weight_mean", wmean, 1.0, 3.0 * wse, wse),
-    ]
+    ], {}
 
 
-def _run_born_rule(cfg: ScenarioConfig) -> list:
+def _run_born_rule(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
     params = CslParams(gamma=p["gamma"], sigma=1.0, masses=(p["mass"],))
     rate = p["gamma"] * p["mass"] ** 2 * p["spacing"] ** 3
@@ -291,10 +292,10 @@ def _run_born_rule(cfg: ScenarioConfig) -> list:
                         details={"recorded_times": mart.times.tolist(),
                                  "norm_drift": stats.max_norm_drift}),
     ]
-    return crits
+    return crits, {}
 
 
-def _run_amplification_csl(cfg: ScenarioConfig) -> list:
+def _run_amplification_csl(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
     sigma = p["sigma"]
     sep = p["separation"]
@@ -325,7 +326,7 @@ def _run_amplification_csl(cfg: ScenarioConfig) -> list:
                                 float(n * n), p["tolerance"] * n * n,
                                 details={"rate": fits[n].rate,
                                          "r_squared": fits[n].r_squared}))
-    return crits
+    return crits, {}
 
 
 def _nonmarkov_setup(p):
@@ -336,7 +337,7 @@ def _nonmarkov_setup(p):
     return spec, phase, factor
 
 
-def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> list:
+def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
     _, phase, factor = _nonmarkov_setup(p)
     psi0 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
@@ -345,10 +346,10 @@ def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> list:
     td, se = stats.trace_distance_to(oracle)
     return [_criterion("nonmarkov_unraveling_trace_distance", td, 0.0, 3.0 * se, se,
                        {"clipped_mass": stats.clipped_mass,
-                        "n_samples": int(p["n_samples"])})]
+                        "n_samples": int(p["n_samples"])})], {}
 
 
-def _run_beable_stats(cfg: ScenarioConfig) -> list:
+def _run_beable_stats(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
     _, phase, factor = _nonmarkov_setup(p)
     psi0 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
@@ -372,7 +373,7 @@ def _run_beable_stats(cfg: ScenarioConfig) -> list:
         _criterion("girsanov_weight_mean", wmean, 1.0, 3.0 * wse, wse,
                    {"n_samples": int(p["n_samples"])}),
         _criterion("beable_shift_quadrature_rel_err", rel, 0.0, 1e-8),
-    ]
+    ], {}
 
 
 def _run_omega_table(cfg: ScenarioConfig) -> tuple:
@@ -434,7 +435,10 @@ def _run_delta_metric(cfg: ScenarioConfig) -> tuple:
     return crits, {"delta_metric": rows}
 
 
-def _run_quartic_reweight(cfg: ScenarioConfig) -> list:
+def _run_quartic_reweight(cfg: ScenarioConfig) -> tuple:
+    """Check d⟨O⟩/dλ at λ = 0 for O = |ξ_0|²: a central finite difference in
+    the tilt strength against the covariance of O with the tilt. The
+    `strength` parameter enters the config hash but no output."""
     p = cfg.params
     n_pts = int(p["n_points"])
     pair = gf.KernelPair(gamma=np.eye(n_pts, dtype=complex),
@@ -449,7 +453,6 @@ def _run_quartic_reweight(cfg: ScenarioConfig) -> list:
 
     delta = float(p["fd_delta"])
     eps = float(p["epsilon"])
-    lam = float(p["strength"])
 
     def weighted_obs(xi, strength):
         spec_w = gf.QuarticReweightSpec(strength=strength, epsilon=eps)
@@ -460,9 +463,7 @@ def _run_quartic_reweight(cfg: ScenarioConfig) -> list:
     xi_a = gf.sample_fields(factor, n, cfg.seed, stream_index=1)
     obs, w_plus = weighted_obs(xi_a, +delta)
     _, w_minus = weighted_obs(xi_a, -delta)
-    nb = 50
-    bp = block_sums(np.stack([obs * w_plus, w_plus, obs * w_minus, w_minus], axis=1), nb)
-    counts = np.full(nb, n / nb)
+    bp, counts = block_sums(np.stack([obs * w_plus, w_plus, obs * w_minus, w_minus], axis=1))
 
     def fd_stat(m):
         return (m[0] / m[1] - m[2] / m[3]) / (2.0 * delta)
@@ -471,11 +472,11 @@ def _run_quartic_reweight(cfg: ScenarioConfig) -> list:
 
     xi_b = gf.sample_fields(factor, n, cfg.seed, stream_index=2)
     w_eps = np.exp(gf.quartic_log_weights(
-        xi_b, gf.QuarticReweightSpec(strength=lam * 0, epsilon=eps)))
+        xi_b, gf.QuarticReweightSpec(strength=0.0, epsilon=eps)))
     obs_b = np.abs(xi_b[:, 0]) ** 2
     tilt = 2.0 * np.imag(xi_b ** 4).sum(axis=1)
-    bc = block_sums(np.stack([obs_b * w_eps, w_eps, tilt * w_eps,
-                              obs_b * tilt * w_eps], axis=1), nb)
+    bc, _ = block_sums(np.stack([obs_b * w_eps, w_eps, tilt * w_eps,
+                                 obs_b * tilt * w_eps], axis=1))
 
     def cov_stat(m):
         return m[3] / m[1] - (m[0] / m[1]) * (m[2] / m[1])
@@ -486,7 +487,7 @@ def _run_quartic_reweight(cfg: ScenarioConfig) -> list:
         _criterion("quartic_identity_at_zero", ident, 0.0, 0.0),
         _criterion("quartic_first_order_derivative", fd, cov, 3.0 * se, se,
                    {"finite_difference": fd, "covariance": cov}),
-    ]
+    ], {}
 
 
 _RUNNERS = {
@@ -504,11 +505,7 @@ _RUNNERS = {
 def run_experiment(config: ScenarioConfig) -> RunReport:
     """Execute a scenario; deterministic given (config, seed)."""
     start = time.perf_counter()
-    out = _RUNNERS[config.kind](config)
-    if isinstance(out, tuple):
-        criteria, tables = out
-    else:
-        criteria, tables = out, {}
+    criteria, tables = _RUNNERS[config.kind](config)
     return RunReport(scenario=config.kind, config_hash=config.hash(),
                      criteria=criteria, tables=tables,
                      wall_time_s=time.perf_counter() - start)
@@ -518,27 +515,29 @@ CSV_COLUMNS = ("scenario", "criterion", "measured", "target", "tolerance",
                "se", "passed")
 
 
+def _write_csv(path, header, rows) -> str:
+    with open(path, "w", newline="") as f:
+        writer = _csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_table(path, rows) -> str:
+    """One CSV line per row dict, under a header of the first row's keys."""
+    return _write_csv(path, list(rows[0]), [row.values() for row in rows])
+
+
 def emit_report(report: RunReport, out_dir) -> list:
     """Write the report as CSV (plus one CSV per table) and JSON; CSV
     columns are stable across versions."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{report.scenario}_report.csv")
-    with open(path, "w", newline="") as f:
-        writer = _csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for c in report.criteria:
-            writer.writerow([report.scenario, c.name, repr(c.measured),
-                             repr(c.target), repr(c.tolerance), repr(c.se),
-                             c.passed])
-    paths = [path]
-    for name, rows in report.tables.items():
-        tpath = os.path.join(out_dir, f"{name}.csv")
-        if rows:
-            with open(tpath, "w", newline="") as f:
-                writer = _csv.DictWriter(f, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-            paths.append(tpath)
+    paths = [_write_csv(
+        os.path.join(out_dir, f"{report.scenario}_report.csv"), CSV_COLUMNS,
+        [[report.scenario, c.name, repr(c.measured), repr(c.target),
+          repr(c.tolerance), repr(c.se), c.passed] for c in report.criteria])]
+    paths += [_write_table(os.path.join(out_dir, f"{name}.csv"), rows)
+              for name, rows in report.tables.items() if rows]
     path = os.path.join(out_dir, f"{report.scenario}_report.json")
     payload = report.numeric_dict()
     payload["wall_time_s"] = report.wall_time_s
@@ -580,25 +579,29 @@ def _resolve_out_dir(flag_value) -> str:
     return os.environ.get(ENV_OUTPUT_DIR, ".")
 
 
+def _tabulate_omega(args) -> str:
+    """Validate the flags with the omega_table parameter checks, then write
+    the (r, Ω_∞, Ω_T, G_∞) table; returns the CSV path."""
+    if args.horizon is not None and not args.horizon > 0:
+        raise ConfigError("horizon must be positive", field="horizon")
+    ScenarioConfig.from_dict({"kind": "omega_table", "seed": 0, "params": {
+        "boson_mass": args.mb, "cutoff": args.cutoff, "coupling": args.g,
+        "r_min": args.rmin, "r_max": args.rmax, "n_points": args.points}})
+    spec = pg.PropagatorSpec(boson_mass=args.mb, cutoff=args.cutoff, coupling=args.g)
+    horizon = 100.0 / args.mb if args.horizon is None else args.horizon
+    rows = pg.tabulate_omega(spec, np.geomspace(args.rmin, args.rmax, args.points),
+                             horizon)
+    out_dir = _resolve_out_dir(args.out)
+    os.makedirs(out_dir, exist_ok=True)
+    return _write_table(os.path.join(out_dir, "omega_table.csv"), rows)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "tabulate-omega":
-        spec = pg.PropagatorSpec(boson_mass=args.mb, cutoff=args.cutoff,
-                                 coupling=args.g)
-        horizon = args.horizon if args.horizon else 100.0 / args.mb
-        rows = pg.tabulate_omega(spec, np.geomspace(args.rmin, args.rmax,
-                                                    args.points), horizon)
-        out_dir = _resolve_out_dir(args.out)
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "omega_table.csv")
-        with open(path, "w", newline="") as f:
-            writer = _csv.DictWriter(f, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        print(path)
-        return 0
-
     try:
+        if args.command == "tabulate-omega":
+            print(_tabulate_omega(args))
+            return 0
         config = ScenarioConfig.from_json(args.config)
         if args.seed is not None:
             config = ScenarioConfig.from_dict(

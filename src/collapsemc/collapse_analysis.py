@@ -9,6 +9,12 @@ field history and the two-point collapse metric
 has the closed expectation E_t[Δ_t] = exp(Ω_t)·Δ_0 under the cooked
 measure (the Girsanov weight cancels the normalization, so the estimator
 is simply |ψ_t(x)||ψ_t(y)| under the a-priori measure).
+
+Every influence phase here is made by one function, `_point_phase`:
+midpoint time nodes, the cell-averaged PV kernel, and point couplings g on
+configuration 0 (the left sites) or 1 (the right sites).
+`build_two_point_phase` (one particle on two sites) and `_cat_phase` (the
+N-particle cat state) only choose the sites.
 """
 
 from __future__ import annotations
@@ -64,35 +70,43 @@ class AmplificationScan:
     horizon: float
 
 
-def build_two_point_phase(spec: pg.PropagatorSpec, r: float, horizon: float,
-                          n_steps: int, relation: str = "zero"):
-    """Influence phase for a single particle on two sites separated by r.
+def _point_phase(spec: pg.PropagatorSpec, left: np.ndarray, right: np.ndarray,
+                 horizon: float, n_steps: int, relation: str = "zero"):
+    """Two-configuration influence phase: a particle at each `left` site in
+    configuration 0, at each `right` site in configuration 1.
 
-    The PV kernel is clipped to its nearest PSD kernel (clipped mass is on
-    the returned factor); couplings are point densities g·|x><x|/a³ so the
-    sources are g·dt per occupied site, independent of the volume element.
+    Couplings are point densities g·|x><x|/a³, so the sources are g·dt per
+    occupied site, independent of the volume element. Returns the phase
+    and the sampling factor (whose clipped mass records any PSD clipping).
     """
-    if r <= 0.0 or horizon <= 0.0:
-        raise InvalidParameterError("require r > 0 and horizon > 0")
+    if relation not in ("zero", "covariance"):
+        raise InvalidParameterError(f"unknown relation mode {relation!r}")
+    points = np.vstack([left, right])
     dt = horizon / n_steps
     times = (np.arange(n_steps) + 0.5) * dt
-    points = np.array([[0.0, 0.0, 0.0], [r, 0.0, 0.0]])
     kernel = pg.pv_kernel_matrix(spec, times, points, cell_dt=dt)
-    if relation == "zero":
-        s = np.zeros_like(kernel)
-    elif relation == "covariance":
+    if relation == "covariance":
         if np.abs(kernel.imag).max() > 1e-12 * np.abs(kernel).max():
             raise InvalidParameterError("S = D requires a real kernel")
         s = kernel.copy()
     else:
-        raise InvalidParameterError(f"unknown relation mode {relation!r}")
+        s = np.zeros_like(kernel)
     pair = KernelPair(gamma=kernel, relation=s, psd_floor=np.inf)
     g = spec.coupling
-    couplings = [np.diag([g, 0.0]).astype(complex), np.diag([0.0, g]).astype(complex)]
+    couplings = [np.diag([g, 0.0] if x < len(left) else [0.0, g]).astype(complex)
+                 for x in range(len(points))]
     # point couplings: j eigenvalue times dt·a³ must be g·dt, so a³ = 1 here
-    phase, factor = nm.build_influence_phase(pair, couplings, times, dt,
-                                             volume_element=1.0)
-    return phase, factor
+    return nm.build_influence_phase(pair, couplings, times, dt, volume_element=1.0)
+
+
+def build_two_point_phase(spec: pg.PropagatorSpec, r: float, horizon: float,
+                          n_steps: int, relation: str = "zero"):
+    """Influence phase for a single particle on two sites separated by r;
+    returns (phase, factor)."""
+    if r <= 0.0 or horizon <= 0.0:
+        raise InvalidParameterError("require r > 0 and horizon > 0")
+    return _point_phase(spec, np.array([[0.0, 0.0, 0.0]]), np.array([[r, 0.0, 0.0]]),
+                        horizon, n_steps, relation)
 
 
 def lattice_delta_exponent(phase: nm.InfluencePhase, alpha: int = 0, beta: int = 1) -> float:
@@ -103,35 +117,31 @@ def lattice_delta_exponent(phase: nm.InfluencePhase, alpha: int = 0, beta: int =
     return float(-0.25 * dj @ phase.kernel.gamma.real @ dj)
 
 
-def closed_form_state(xi: FieldSample, psi0, phase: nm.InfluencePhase,
-                      n_steps: int = None) -> QuantumState:
-    """Linear wavefunction for one field realization (H₀ = 0, S = 0).
+def closed_form_state(xi: FieldSample, psi0, phase: nm.InfluencePhase) -> QuantumState:
+    """Linear wavefunction at the horizon for one field realization (H₀ = 0, S = 0).
 
     ψ_t(x) = exp[−ig Σ_τ dt ξ(τ,x) − g² Σ_{τ>s} dt² D((τ,x),(s,x))]·ψ₀(x)
     realized through the shared closed-form engine; exact per lattice step.
     """
     states = nm.linear_states(phase, np.asarray(xi.values)[None, :],
                               np.asarray(psi0, dtype=complex))[0]
-    k = phase.n_steps if n_steps is None else n_steps
-    return QuantumState(states[k])
+    return QuantumState(states[phase.n_steps])
 
 
 def delta_metric_mc(spec: pg.PropagatorSpec, r: float, horizon: float,
                     n_samples: int, n_steps: int = 32,
-                    psi0=None, master_seed: int = 0) -> CollapseMetricResult:
-    """Monte-Carlo E_t[Δ_t] against exp(Ω_t)·Δ_0.
+                    master_seed: int = 0) -> CollapseMetricResult:
+    """Monte-Carlo E_t[Δ_t] against exp(Ω_t)·Δ_0 for the equal superposition
+    of the two sites.
 
     The analytic exponent is the continuum omega_from_quadrature value;
     cell averaging of the lattice kernel makes the lattice exponent agree
     with it up to quadrature tolerance (both are reported).
     """
-    if psi0 is None:
-        psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.asarray(np.array([1.0, 1.0]) / np.sqrt(2.0), dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     delta0 = float(abs(psi0[0]) * abs(psi0[1]))
     if horizon == 0.0:
-        omega = 0.0
         return CollapseMetricResult(r=r, horizon=0.0, delta_mc=delta0, delta_se=0.0,
                                     delta_analytic=delta0, omega=0.0,
                                     omega_lattice=0.0, delta0=delta0,
@@ -151,21 +161,10 @@ def delta_metric_mc(spec: pg.PropagatorSpec, r: float, horizon: float,
 
 def _cat_phase(spec: pg.PropagatorSpec, geometry: AmplificationGeometry,
                n_particles: int):
-    """Two-configuration influence phase for the N-particle cat state."""
+    """Two-configuration influence phase for the N-particle cat state;
+    returns (phase, factor)."""
     left, right = geometry.positions(n_particles)
-    points = np.vstack([left, right])
-    dt = geometry.horizon / geometry.n_steps
-    times = (np.arange(geometry.n_steps) + 0.5) * dt
-    kernel = pg.pv_kernel_matrix(spec, times, points, cell_dt=dt)
-    pair = KernelPair(gamma=kernel, relation=np.zeros_like(kernel), psd_floor=np.inf)
-    g = spec.coupling
-    n_x = len(points)
-    couplings = []
-    for x in range(n_x):
-        occ_l = 1.0 if x < n_particles else 0.0
-        occ_r = 1.0 if x >= n_particles else 0.0
-        couplings.append(np.diag([g * occ_l, g * occ_r]).astype(complex))
-    return nm.build_influence_phase(pair, couplings, times, dt, volume_element=1.0)
+    return _point_phase(spec, left, right, geometry.horizon, geometry.n_steps)
 
 
 def coherence_exponent(phase: nm.InfluencePhase, n_steps: int = None) -> float:
@@ -219,15 +218,16 @@ class PlateauReport:
     passed: bool
 
 
-def transient_plateau_check(spec: pg.PropagatorSpec, r_values,
-                            horizons=None, slack: float = 1e-3) -> PlateauReport:
+def transient_plateau_check(spec: pg.PropagatorSpec, r_values) -> PlateauReport:
     """Verify Ω_t decreases toward a finite negative plateau Ω_∞(r).
 
-    slack absorbs the O(T^{-3/2}) oscillatory remainder of the finite-
-    horizon quadrature when checking monotonicity and the lower bound.
+    Ω_t is evaluated at horizons 5, 10, 20, 40 and 80 boson Compton times.
+    A slack of 1e-3 of the plateau absorbs the O(T^{-3/2}) oscillatory
+    remainder of the finite-horizon quadrature when checking monotonicity
+    and the lower bound.
     """
-    if horizons is None:
-        horizons = [5.0, 10.0, 20.0, 40.0, 80.0]
+    horizons = (5.0, 10.0, 20.0, 40.0, 80.0)
+    slack = 1e-3
     monotone = True
     bounded = True
     omega_h, omega_l = [], []

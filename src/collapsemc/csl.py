@@ -26,12 +26,13 @@ from scipy.linalg import expm
 from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
 from .hilbert import (CslParams, LatticeGrid, LatticeOperator, QuantumState,
                       as_matrix, check_finite, diagonals)
-from .mcstats import jackknife_statistic, trace_distance_jackknife
+from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
 from .streams import stream
 
 NORM_TOL = 1e-8
 DT_STABILITY_TARGET = 1e-2
 COLLAPSE_THRESHOLD = 0.99       # top population marking a resolved collapse
+TRAJ_BATCH = 512                # trajectories stepped together in one block
 
 
 def _noise_batch(grid: LatticeGrid, master_seed: int, indices) -> np.ndarray:
@@ -64,9 +65,9 @@ class Trajectory:
     noise: WhiteNoiseRealization
     seed: int = None
 
-    def check_weight(self, tol: float = NORM_TOL):
+    def check_weight(self):
         final = self.states[-1]
-        if abs(self.weight - final.norm_squared) > tol * max(final.norm_squared, 1e-300):
+        if abs(self.weight - final.norm_squared) > NORM_TOL * max(final.norm_squared, 1e-300):
             raise InvalidParameterError("trajectory weight disagrees with final norm")
         return self
 
@@ -256,17 +257,18 @@ class EnsembleStats:
     def n_traj(self) -> int:
         return len(self.weights)
 
-    def rho_mean(self, rec_index: int = -1) -> np.ndarray:
-        tot = self.rho_block_totals.sum(axis=0)
-        return tot[rec_index] / self.n_traj
+    def rho_mean(self) -> np.ndarray:
+        """Ensemble mean of the final recorded density matrix."""
+        return self.rho_block_totals.sum(axis=0)[-1] / self.n_traj
 
-    def trace_distance_to(self, target, rec_index: int = -1):
-        return trace_distance_jackknife(self.rho_block_totals[:, rec_index],
+    def trace_distance_to(self, target):
+        """Jackknife trace distance of the final recorded mean to target."""
+        return trace_distance_jackknife(self.rho_block_totals[:, -1],
                                         self.block_counts, target)
 
 
 def _run_range(scenario: CslScenario, master_seed: int, start: int, count: int,
-               normalized: bool, probe_sites, batch: int = 512):
+               normalized: bool, probe_sites):
     grid = scenario.grid
     operands = _step_operands(scenario.mass_ops, scenario.params, grid.time_step,
                               scenario.h0, grid.volume_element)
@@ -281,8 +283,8 @@ def _run_range(scenario: CslScenario, master_seed: int, start: int, count: int,
     collapse_sites = np.full(count, -1, dtype=int)
     max_drift = 0.0
 
-    for lo in range(0, count, batch):
-        hi = min(lo + batch, count)
+    for lo in range(0, count, TRAJ_BATCH):
+        hi = min(lo + TRAJ_BATCH, count)
         idx = np.arange(start + lo, start + hi)
         noise = _noise_batch(grid, master_seed, idx)
         states = np.tile(scenario.psi0, (hi - lo, 1))
@@ -315,49 +317,37 @@ def _run_range(scenario: CslScenario, master_seed: int, start: int, count: int,
 
 
 def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
-                  normalized: bool, probe_sites=(), n_blocks: int = 50) -> EnsembleStats:
-    n_blocks = min(n_blocks, n_traj)
-    edges = np.linspace(0, n_traj, n_blocks + 1).astype(int)
-    pairs = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+                  normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
+    edges = block_edges(n_traj, n_blocks)
     # assembled after every block has run: filling the full-size arrays while
     # noise batches are live raised peak RSS by ~0.5 MB on default born_rule
     results = [_run_range(scenario, master_seed, lo, hi - lo, normalized, probe_sites)
-               for lo, hi in pairs]
-
-    rec_steps = scenario.record_steps()
-    dim = len(scenario.psi0)
-    rho_blocks = np.zeros((len(pairs), len(rec_steps), dim, dim), dtype=complex)
-    weights = np.empty(n_traj)
-    probes = np.zeros((n_traj, len(rec_steps), len(probe_sites)))
-    collapse_sites = np.full(n_traj, -1, dtype=int)
-    max_drift = 0.0
-    for b, ((lo, hi), res) in enumerate(zip(pairs, results)):
-        rho_blocks[b], weights[lo:hi], probes[lo:hi], collapse_sites[lo:hi], drift = res
-        max_drift = max(max_drift, drift)
+               for lo, hi in zip(edges[:-1], edges[1:])]
+    rho_blocks, weights, probes, collapse_sites, drifts = zip(*results)
     return EnsembleStats(
-        record_times=rec_steps * scenario.grid.time_step,
-        rho_block_totals=rho_blocks,
-        block_counts=np.array([hi - lo for lo, hi in pairs]),
-        weights=weights,
-        probe_values=probes,
-        collapse_sites=collapse_sites if normalized else None,
-        max_norm_drift=max_drift)
+        record_times=scenario.record_steps() * scenario.grid.time_step,
+        rho_block_totals=np.stack(rho_blocks),
+        block_counts=np.diff(edges),
+        weights=np.concatenate(weights),
+        probe_values=np.concatenate(probes),
+        collapse_sites=np.concatenate(collapse_sites) if normalized else None,
+        max_norm_drift=max(drifts))
 
 
 def run_linear_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
-                        n_blocks: int = 50, probe_sites=()) -> EnsembleStats:
+                        n_blocks: int = N_BLOCKS) -> EnsembleStats:
     """Ensemble of linear trajectories; rho records are E[|ψ><ψ|] sums."""
     return _run_ensemble(scenario, n_traj, master_seed, normalized=False,
-                         probe_sites=probe_sites, n_blocks=n_blocks)
+                         n_blocks=n_blocks)
 
 
 def run_normalized_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
-                            n_blocks: int = 50, probe_sites=()) -> EnsembleStats:
+                            probe_sites=()) -> EnsembleStats:
     """Physical-measure ensemble of the normalized equation; a trajectory
     counts as collapsed onto its most populated site when that population
     exceeds COLLAPSE_THRESHOLD."""
     return _run_ensemble(scenario, n_traj, master_seed, normalized=True,
-                         probe_sites=probe_sites, n_blocks=n_blocks)
+                         probe_sites=probe_sites)
 
 
 def run_trajectory(scenario: CslScenario, master_seed: int, index: int = 0,

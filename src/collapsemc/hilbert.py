@@ -104,10 +104,10 @@ class LatticeGrid:
         return self.n_steps * self.time_step
 
     @classmethod
-    def line(cls, n_sites: int, spacing: float, time_step: float, n_steps: int,
-             axis: int = 0) -> "LatticeGrid":
+    def line(cls, n_sites: int, spacing: float, time_step: float, n_steps: int) -> "LatticeGrid":
+        """n_sites evenly spaced sites on the x axis, starting at the origin."""
         pts = np.zeros((n_sites, 3))
-        pts[:, axis] = spacing * np.arange(n_sites)
+        pts[:, 0] = spacing * np.arange(n_sites)
         return cls(pts, spacing, time_step, n_steps)
 
     @classmethod
@@ -251,34 +251,25 @@ def mass_density_diagonals(grid: LatticeGrid, params: CslParams,
     return out
 
 
-def build_mass_density(grid: LatticeGrid, params: CslParams,
-                       n_particles: int = 1) -> list:
-    """Smeared mass-density operator M_σ(x) for every lattice point x.
+def build_mass_density(grid: LatticeGrid, params: CslParams) -> list:
+    """Single-particle smeared mass-density operator M_σ(x) for every
+    lattice point x.
 
-    The operators are diagonal in the configuration basis, Hermitian and
+    The operators are diagonal in the position basis, Hermitian and
     positive semi-definite by construction.
     """
-    diags = mass_density_diagonals(grid, params, n_particles)
+    diags = mass_density_diagonals(grid, params)
     return [LatticeOperator(np.diag(diags[i]).astype(complex), label=f"smeared_mass[{i}]")
             for i in range(grid.n_sites)]
 
 
-def site_density_ops(grid: LatticeGrid, n_particles: int = 1) -> list:
-    """Number-density operators N(x) = (occupation of x)/a³.
-
-    For a single particle Σ_x a³ N(x) is the identity.
-    """
+def site_density_ops(grid: LatticeGrid) -> list:
+    """Single-particle number-density operators N(x) = |x><x|/a³, so that
+    Σ_x a³ N(x) is the identity."""
     vol = grid.volume_element
-    if n_particles == 1:
-        return [LatticeOperator(np.diag(np.eye(grid.n_sites)[i] / vol).astype(complex),
-                                label=f"density[{i}]")
-                for i in range(grid.n_sites)]
-    configs = configurations(grid, n_particles)
-    ops = []
-    for i in range(grid.n_sites):
-        diag = np.array([cfg.count(i) for cfg in configs], dtype=float) / vol
-        ops.append(LatticeOperator(np.diag(diag).astype(complex), label=f"density[{i}]"))
-    return ops
+    return [LatticeOperator(np.diag(np.eye(grid.n_sites)[i] / vol).astype(complex),
+                            label=f"density[{i}]")
+            for i in range(grid.n_sites)]
 
 
 def point_mass_ops(grid: LatticeGrid, mass: float) -> list:

@@ -1,4 +1,10 @@
-"""Small Monte-Carlo statistics helpers shared by the ensemble modules."""
+"""Small Monte-Carlo statistics helpers shared by the ensemble modules.
+
+Block policy: every jackknife in the package splits its n samples, in index
+order, with `block_edges` into min(N_BLOCKS, n) contiguous, non-empty blocks
+whose sizes differ by at most one. Ensembles that run block by block and
+`block_sums` both use it, so a block total always comes with its true size.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,8 @@ import numpy as np
 from scipy import stats as _st
 
 from .hilbert import DensityMatrix, trace_distance
+
+N_BLOCKS = 50
 
 
 def mean_se(values: np.ndarray):
@@ -17,12 +25,19 @@ def mean_se(values: np.ndarray):
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
 
 
-def block_sums(values: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Partition leading axis into n_blocks contiguous blocks and sum each."""
+def block_edges(n: int, n_blocks: int = N_BLOCKS) -> np.ndarray:
+    """Edges of min(n_blocks, n) contiguous, non-empty, near-equal blocks
+    of n samples: block b holds samples edges[b] to edges[b + 1] − 1."""
+    return np.linspace(0, n, min(n_blocks, n) + 1).astype(int)
+
+
+def block_sums(values: np.ndarray):
+    """Sum the leading axis over the `block_edges` blocks; returns the block
+    totals and the block sizes."""
     v = np.asarray(values)
-    n = v.shape[0]
-    edges = np.linspace(0, n, n_blocks + 1).astype(int)
-    return np.stack([v[a:b].sum(axis=0) for a, b in zip(edges[:-1], edges[1:])])
+    edges = block_edges(v.shape[0])
+    totals = np.stack([v[a:b].sum(axis=0) for a, b in zip(edges[:-1], edges[1:])])
+    return totals, np.diff(edges)
 
 
 def jackknife_statistic(block_totals: np.ndarray, block_counts: np.ndarray, statistic):

@@ -29,7 +29,7 @@ from . import gaussian_field as gf
 from .errors import DegenerateEnsembleError, InvalidParameterError, UnsupportedRegimeError
 from .hilbert import (DensityMatrix, QuantumState, adjoint_error, as_matrix, check_finite,
                       diagonals)
-from .mcstats import mean_se, trace_distance_jackknife
+from .mcstats import block_edges, mean_se, trace_distance_jackknife
 
 FIELD_CHUNK = 2048              # samples per closed-form evolution batch
 
@@ -340,8 +340,7 @@ def _sample_xi(factor, seed, index):
 
 
 def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
-                      psi0: np.ndarray, n_samples: int, master_seed: int,
-                      n_blocks: int = 50) -> UnravelingStats:
+                      psi0: np.ndarray, n_samples: int, master_seed: int) -> UnravelingStats:
     """Monte-Carlo check of the unraveling condition with auxiliary noise.
 
     Per sample i, streams (seed, 3i), (seed, 3i+1), (seed, 3i+2) produce
@@ -351,14 +350,9 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
     psi0 = np.asarray(psi0, dtype=complex)
     j = phase.sources()
     relf = gf.relation_factor(phase.auxiliary_relation_kernel())
-    dim = phase.dim
-    edges = np.linspace(0, n_samples, n_blocks + 1).astype(int)
-    block_totals = np.zeros((n_blocks, dim, dim), dtype=complex)
-    block_counts = np.diff(edges)
+    edges = block_edges(n_samples)
+    block_totals = np.zeros((len(edges) - 1, phase.dim, phase.dim), dtype=complex)
     for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        count = hi - lo
-        if count == 0:
-            continue
         xi = np.stack([_sample_xi(factor, master_seed, i) for i in range(lo, hi)])
         eta_k = np.concatenate([gf.sample_relation_fields(relf, 1, master_seed, 3 * i + 1)
                                 for i in range(lo, hi)])
@@ -371,7 +365,7 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
         block_totals[b] = np.einsum("na,nb->ab", ket, bra.conj())
     rho = block_totals.sum(axis=0) / n_samples
     return UnravelingStats(rho=0.5 * (rho + rho.conj().T),
-                           block_totals=block_totals, block_counts=block_counts,
+                           block_totals=block_totals, block_counts=np.diff(edges),
                            n_samples=n_samples, clipped_mass=factor.clipped_mass)
 
 
@@ -381,8 +375,6 @@ class FieldEnsemble:
 
     samples: np.ndarray          # (n, P)
     states: np.ndarray           # (n, n_steps+1, dim)
-    master_seed: int
-    kernel_hash: str = ""
 
     @property
     def final_states(self) -> np.ndarray:
@@ -400,8 +392,7 @@ def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
         xi_rows.append(xi)
         state_rows.append(linear_states(phase, xi, psi0))
     return FieldEnsemble(samples=np.concatenate(xi_rows),
-                         states=np.concatenate(state_rows),
-                         master_seed=master_seed, kernel_hash=factor.kernel_hash)
+                         states=np.concatenate(state_rows))
 
 
 def cooked_ensemble(phase: InfluencePhase, ensemble: FieldEnsemble) -> WeightedFieldEnsemble:

@@ -11,7 +11,10 @@ this multiplies each mass term by sinc²(ω dt/2). Cell averaging makes the
 kernel diagonal finite (the raw PV propagator is log-divergent at
 coincident times) and makes dt²·Σ over lattice cells equal the continuum
 double-time integral exactly, so lattice exponents can be compared to the
-closed forms below without discretization bias.
+closed forms below without discretization bias. A lattice kernel needs
+D(Δt, r) only at the n_t lags Δt = t_k − t_0 for each distinct separation
+r; `pv_kernel_matrix` integrates those and gathers every block by |k − l|,
+conjugating the blocks with k < l.
 
 Every radial integral goes through `_radial_integral`. It evaluates the
 integrand in blocks of whole panels, small enough for the temporaries to
@@ -40,6 +43,7 @@ TWO_PI_SQ = 2.0 * np.pi ** 2      # (2π)³ / (4π)
 FOUR_PI_SQ = (2.0 * np.pi) ** 2
 _GAUSS_ORDER = 8                  # Gauss-Legendre nodes per panel
 _BLOCK_PANELS = 4096              # panels per integrand evaluation block
+_RADIAL_RTOL = 1e-6               # allowed relative change on panel doubling
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ def bessel_k1(x: float) -> float:
     return float(_scipy_k1(x))
 
 
-def _panel_nodes(pmax: float, n_panels: int, order: int = _GAUSS_ORDER):
+def _panel_nodes(pmax: float, n_panels: int):
     """Composite Gauss-Legendre nodes/weights on [0, pmax]."""
-    xg, wg = leggauss(order)
+    xg, wg = leggauss(_GAUSS_ORDER)
     edges = np.linspace(0.0, pmax, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1] - edges[0])
@@ -123,11 +127,11 @@ def _blocked_values(integrand, p: np.ndarray) -> np.ndarray:
 
 
 def _radial_integral(integrand, pmax: float, osc_scale: float,
-                     min_nodes: int, rtol: float = 1e-6, what: str = "integral"):
+                     min_nodes: int, what: str = "integral"):
     """Integrate `integrand(p)` on [0, pmax] with oscillation-aware panels.
 
     Runs once and once more at doubled panel count; a relative disagreement
-    above rtol raises QuadratureFailureError. `integrand` may return a
+    above _RADIAL_RTOL raises QuadratureFailureError. `integrand` may return a
     stacked array whose last axis runs over p.
     """
     n_panels = max(16, int(np.ceil(min_nodes / _GAUSS_ORDER)),
@@ -138,9 +142,9 @@ def _radial_integral(integrand, pmax: float, osc_scale: float,
         results.append(_blocked_values(integrand, p) @ w)
     coarse, fine = results
     scale = max(np.max(np.abs(fine)), 1e-300)
-    if np.max(np.abs(fine - coarse)) > rtol * scale:
+    if np.max(np.abs(fine - coarse)) > _RADIAL_RTOL * scale:
         raise QuadratureFailureError(
-            f"{what}: refinement changed result beyond rtol={rtol}",
+            f"{what}: refinement changed result beyond rtol={_RADIAL_RTOL}",
             estimates=(coarse, fine))
     return fine
 
@@ -228,21 +232,18 @@ def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray
     diffs = points[:, None, :] - points[None, :, :]
     rmat = np.linalg.norm(diffs, axis=-1)
     r_unique, r_inv = np.unique(rmat.round(decimals=12).ravel(), return_inverse=True)
-    dt_pos = np.array([times[k] - times[0] for k in range(n_t)])
+    dt_pos = times - times[0]
 
     # values[ri][k] = D(k·dt, r_unique[ri]) for k >= 0
     vals = np.empty((len(r_unique), n_t), dtype=complex)
     for ri, r in enumerate(r_unique):
         vals[ri] = _pv_values(spec, dt_pos, float(r), cell_dt)
 
-    kernel = np.empty((n_t * n_x, n_t * n_x), dtype=complex)
-    r_idx = r_inv.reshape(n_x, n_x)
-    for k in range(n_t):
-        for l in range(n_t):
-            block = vals[r_idx, abs(k - l)]
-            if k < l:
-                block = np.conj(block)
-            kernel[k * n_x:(k + 1) * n_x, l * n_x:(l + 1) * n_x] = block
+    # blocks[k, l, i, j] = D(t_k − t_l, r_ij), D(−Δt) = D(Δt)* for k < l
+    k, l = np.indices((n_t, n_t))
+    blocks = vals[r_inv.reshape(1, 1, n_x, n_x), np.abs(k - l)[:, :, None, None]]
+    blocks = np.where((k < l)[:, :, None, None], blocks.conj(), blocks)
+    kernel = blocks.transpose(0, 2, 1, 3).reshape(n_t * n_x, n_t * n_x)
     return 0.5 * (kernel + kernel.conj().T)
 
 

@@ -1,6 +1,8 @@
+import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from collapsemc import cli
@@ -78,22 +80,6 @@ def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):
     assert "params.n_pointz" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p_left", [0.0, 1.0, 1.5, -0.2])
-def test_born_rule_rejects_p_left_outside_unit_interval(p_left):
-    with pytest.raises(ConfigError) as exc:
-        cli.ScenarioConfig.from_dict({"kind": "born_rule", "seed": 1,
-                                      "params": {"p_left": p_left}})
-    assert exc.value.field == "params.p_left"
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -0.1])
-def test_amplification_csl_rejects_non_positive_tolerance(tolerance):
-    with pytest.raises(ConfigError) as exc:
-        cli.ScenarioConfig.from_dict({"kind": "amplification_csl", "seed": 1,
-                                      "params": {"tolerance": tolerance}})
-    assert exc.value.field == "params.tolerance"
-
-
 @pytest.mark.parametrize("kind, params, field", [
     ("born_rule", {"gamma": 0.0}, "gamma"),
     ("born_rule", {"horizon_rates": 0.0}, "horizon_rates"),
@@ -114,6 +100,12 @@ def test_amplification_csl_rejects_non_positive_tolerance(tolerance):
     ("omega_table", {"cutoff": 0.5}, "cutoff"),
     ("delta_metric", {"r_values": [-1.0]}, "r_values"),
     ("delta_metric", {"horizons": [-1.0]}, "horizons"),
+    ("born_rule", {"p_left": 0.0}, "p_left"),
+    ("born_rule", {"p_left": 1.0}, "p_left"),
+    ("born_rule", {"p_left": 1.5}, "p_left"),
+    ("born_rule", {"p_left": -0.2}, "p_left"),
+    ("amplification_csl", {"tolerance": 0.0}, "tolerance"),
+    ("amplification_csl", {"tolerance": -0.1}, "tolerance"),
 ])
 def test_bad_input_rejected_at_load_naming_field(kind, params, field):
     with pytest.raises(ConfigError) as exc:
@@ -126,3 +118,29 @@ def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", cfg, "--out", str(tmp_path), "--threads", "2"])
     assert exc.value.code == 2
+
+
+TABULATE = ["tabulate-omega", "--mb", "1", "--lambda", "10", "--rmin", "0.5",
+            "--rmax", "2", "--points", "2"]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--points", "0"], "params.n_points"),
+    (["--rmin", "0"], "params.r_min"),
+    (["--lambda", "0.5"], "params.cutoff"),
+    (["--horizon", "-1"], "horizon"),
+    (["--horizon", "0"], "horizon"),
+])
+def test_tabulate_omega_bad_input_exits_2_naming_field(tmp_path, capsys, flags, field):
+    assert cli.main(TABULATE + ["--out", str(tmp_path)] + flags) == 2
+    assert capsys.readouterr().out.startswith(f"config error [{field}]: ")
+    assert not (tmp_path / "omega_table.csv").exists()
+
+
+def test_tabulate_omega_csv_rows_equal_tabulate_omega(tmp_path, capsys):
+    assert cli.main(TABULATE + ["--out", str(tmp_path), "--horizon", "20"]) == 0
+    path = capsys.readouterr().out.strip()
+    with open(path, newline="") as f:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+    spec = pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, coupling=1.0)
+    assert rows == pg.tabulate_omega(spec, np.geomspace(0.5, 2.0, 2), 20.0)

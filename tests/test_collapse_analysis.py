@@ -121,6 +121,21 @@ def test_coherence_exponent_matches_lattice_omega():
                                  rel=1e-10)
 
 
+def test_cat_phase_single_particle_is_two_point_phase():
+    s = spec(g=1.3)
+    geometry = ca.AmplificationGeometry(peak_separation=2.5, intra_spacing=1.0,
+                                        horizon=3.0, n_steps=6)
+    cat, _ = ca._cat_phase(s, geometry, 1)
+    two, _ = ca.build_two_point_phase(s, r=2.5, horizon=3.0, n_steps=6)
+    np.testing.assert_array_equal(cat.kernel.gamma, two.kernel.gamma)
+    np.testing.assert_array_equal(cat.kernel.relation, two.kernel.relation)
+    np.testing.assert_array_equal(cat.times, two.times)
+    assert cat.time_step == two.time_step
+    assert len(cat.couplings) == len(two.couplings) == 2
+    for a, b in zip(cat.couplings, two.couplings):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_amplification_scan_in_regime():
     s = spec(mb=1.0, lam=50.0, g=1.0)
     geometry = ca.AmplificationGeometry(peak_separation=40.0, intra_spacing=6.0,
