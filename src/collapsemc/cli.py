@@ -13,6 +13,7 @@ import argparse
 import csv as _csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,11 +32,6 @@ from .mcstats import block_sums, chi2_pvalue, jackknife_statistic, mean_se
 
 SCHEMA_VERSION = 1
 ENV_OUTPUT_DIR = "COLLAPSEMC_OUT"
-
-SCENARIO_KINDS = (
-    "csl_unraveling", "born_rule", "amplification_csl", "nonmarkov_unraveling",
-    "beable_stats", "omega_table", "delta_metric", "quartic_reweight",
-)
 
 
 @dataclass
@@ -64,11 +60,13 @@ class ScenarioConfig:
             raise ConfigError(f"unsupported schema_version {version}",
                               field="schema_version")
         kind = raw.get("kind")
-        if kind not in SCENARIO_KINDS:
+        if not isinstance(kind, str) or kind not in _PARAM_SPECS:
             raise ConfigError(f"unknown scenario kind {kind!r}", field="kind")
         seed = raw.get("seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a non-negative integer (no wall-clock "
+        # below 2**63, so that the runners' seed + n offsets stay in the
+        # 64-bit key of streams.stream
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 63:
+            raise ConfigError("seed must be an integer in [0, 2**63) (no wall-clock "
                               "seeding)", field="seed")
         params = raw.get("params", {})
         if not isinstance(params, dict):
@@ -158,6 +156,8 @@ def _validate_params(cfg: ScenarioConfig):
             else:
                 _require(isinstance(v, _NUMERIC) and not isinstance(v, bool), key,
                          "must be numeric")
+            # JSON reads Infinity and NaN, which pass every sign check below
+            _require(not isinstance(v, float) or math.isfinite(v), key, "must be finite")
             if key == "gamma" and cfg.kind in _POSITIVE_GAMMA:
                 _require(v > 0, key, "must be positive")
             elif key == "gamma" or key in _NON_NEGATIVE:
@@ -332,14 +332,12 @@ def _run_amplification_csl(cfg: ScenarioConfig) -> tuple:
 def _nonmarkov_setup(p):
     spec = pg.PropagatorSpec(boson_mass=p["boson_mass"], cutoff=p["cutoff"],
                              coupling=p["coupling"])
-    phase, factor = ca.build_two_point_phase(spec, p["r"], p["horizon"],
-                                             int(p["n_steps"]))
-    return spec, phase, factor
+    return ca.build_two_point_phase(spec, p["r"], p["horizon"], int(p["n_steps"]))
 
 
 def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
-    _, phase, factor = _nonmarkov_setup(p)
+    phase, factor = _nonmarkov_setup(p)
     psi0 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
     stats = nm.run_pair_ensemble(phase, factor, psi0, int(p["n_samples"]), cfg.seed)
     oracle = nm.influence_phase_apply(phase, DensityMatrix(np.outer(psi0, psi0.conj())))
@@ -351,7 +349,7 @@ def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> tuple:
 
 def _run_beable_stats(cfg: ScenarioConfig) -> tuple:
     p = cfg.params
-    _, phase, factor = _nonmarkov_setup(p)
+    phase, factor = _nonmarkov_setup(p)
     psi0 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
     ens = nm.run_field_ensemble(phase, factor, psi0, int(p["n_samples"]), cfg.seed)
     cooked = nm.cooked_ensemble(phase, ens)
@@ -582,8 +580,8 @@ def _resolve_out_dir(flag_value) -> str:
 def _tabulate_omega(args) -> str:
     """Validate the flags with the omega_table parameter checks, then write
     the (r, Ω_∞, Ω_T, G_∞) table; returns the CSV path."""
-    if args.horizon is not None and not args.horizon > 0:
-        raise ConfigError("horizon must be positive", field="horizon")
+    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ConfigError("horizon must be finite and positive", field="horizon")
     ScenarioConfig.from_dict({"kind": "omega_table", "seed": 0, "params": {
         "boson_mass": args.mb, "cutoff": args.cutoff, "coupling": args.g,
         "r_min": args.rmin, "r_max": args.rmax, "n_points": args.points}})

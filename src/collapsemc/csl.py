@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
-from .hilbert import (CslParams, LatticeGrid, LatticeOperator, QuantumState,
-                      as_matrix, check_finite, diagonals)
+from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
+                      diagonal_ops, diagonals)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
 from .streams import stream
 
@@ -416,15 +416,12 @@ def effective_cat_ops(grid: LatticeGrid, spec: CatStateSpec, params: CslParams) 
     if spec.separation < 5.0 * params.sigma:
         raise InvalidParameterError("cat peaks must satisfy separation >= 5 sigma")
     pref = (2.0 * np.pi) ** (-1.5) / params.sigma ** 3
-    m = params.masses[0]
-    ops = []
+    rows = []
     for x in grid.spatial_points:
         gl = pref * np.exp(-np.sum((x - spec.site_left) ** 2) / (2 * params.sigma ** 2))
         gr = pref * np.exp(-np.sum((x - spec.site_right) ** 2) / (2 * params.sigma ** 2))
-        ops.append(LatticeOperator(
-            spec.n_particles * m * np.diag([gl, gr]).astype(complex),
-            label="cat_mass"))
-    return ops
+        rows.append([gl, gr])
+    return diagonal_ops(spec.n_particles * params.masses[0] * np.array(rows))
 
 
 def cat_decoherence_rate(grid: LatticeGrid, spec: CatStateSpec, params: CslParams) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,40 +274,36 @@ def quartic_weight_bound(spec: QuarticReweightSpec, n_points: int,
     return float(np.exp(n_points * volume_element * per_site))
 
 
-_MAGIC = b"CGF1"
+def write_checkpoint(path, meta: dict, **arrays):
+    """Write one uncompressed `.npz` at exactly `path`: each keyword array
+    under its own name, plus `meta`, the metadata as a JSON string."""
+    with open(path, "wb") as f:
+        np.savez(f, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def read_checkpoint(path):
+    """Inverse of write_checkpoint; returns ({name: array}, metadata).
+
+    Loads no pickled objects. Contents that are not such an archive raise
+    InvalidParameterError naming the path.
+    """
+    with open(path, "rb") as f:
+        try:
+            archive = np.load(f, allow_pickle=False)
+            meta = json.loads(str(archive["meta"]))
+            arrays = {k: archive[k] for k in archive.files if k != "meta"}
+        except (OSError, ValueError, EOFError, LookupError, zipfile.BadZipFile) as exc:
+            raise InvalidParameterError(f"{path}: not a checkpoint file ({exc})") from exc
+    return arrays, meta
 
 
 def save_field_samples(path, samples: np.ndarray, meta: dict = None):
-    """Flat binary layout: magic, ndim, dims (LE uint64), interleaved re/im
-    float64 LE; metadata (seed, kernel hash, ...) goes to a JSON sidecar."""
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=complex)))
-    path = str(path)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<Q", d))
-        inter = np.empty(arr.shape + (2,), dtype="<f8")
-        inter[..., 0] = arr.real
-        inter[..., 1] = arr.imag
-        f.write(inter.tobytes())
-    with open(path + ".json", "w") as f:
-        json.dump(meta or {}, f, indent=2, sort_keys=True)
+    """Checkpoint field samples: one `.npz` holding `samples`, the complex
+    (n, P) array, and `meta` (seed, kernel hash, ...) as a JSON string."""
+    write_checkpoint(path, meta or {}, samples=np.atleast_2d(np.asarray(samples, dtype=complex)))
 
 
 def load_field_samples(path):
     """Inverse of save_field_samples; returns (samples, metadata)."""
-    path = str(path)
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise InvalidParameterError(f"{path}: not a field-sample file")
-        (ndim,) = struct.unpack("<Q", f.read(8))
-        shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
-        inter = np.frombuffer(f.read(), dtype="<f8").reshape(shape + (2,))
-    samples = inter[..., 0] + 1j * inter[..., 1]
-    try:
-        with open(path + ".json") as f:
-            meta = json.load(f)
-    except FileNotFoundError:
-        meta = {}
-    return samples, meta
+    arrays, meta = read_checkpoint(path)
+    return arrays["samples"], meta

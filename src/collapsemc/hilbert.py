@@ -179,10 +179,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Dense operator over configuration space with a role label."""
+    """Dense operator over configuration space."""
 
     entries: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=complex)
@@ -251,6 +250,12 @@ def mass_density_diagonals(grid: LatticeGrid, params: CslParams,
     return out
 
 
+def diagonal_ops(rows) -> list:
+    """One LatticeOperator per row, with that row as its diagonal (the
+    inverse of `diagonals`)."""
+    return [LatticeOperator(np.diag(row).astype(complex)) for row in rows]
+
+
 def build_mass_density(grid: LatticeGrid, params: CslParams) -> list:
     """Single-particle smeared mass-density operator M_σ(x) for every
     lattice point x.
@@ -258,18 +263,13 @@ def build_mass_density(grid: LatticeGrid, params: CslParams) -> list:
     The operators are diagonal in the position basis, Hermitian and
     positive semi-definite by construction.
     """
-    diags = mass_density_diagonals(grid, params)
-    return [LatticeOperator(np.diag(diags[i]).astype(complex), label=f"smeared_mass[{i}]")
-            for i in range(grid.n_sites)]
+    return diagonal_ops(mass_density_diagonals(grid, params))
 
 
 def site_density_ops(grid: LatticeGrid) -> list:
     """Single-particle number-density operators N(x) = |x><x|/a³, so that
     Σ_x a³ N(x) is the identity."""
-    vol = grid.volume_element
-    return [LatticeOperator(np.diag(np.eye(grid.n_sites)[i] / vol).astype(complex),
-                            label=f"density[{i}]")
-            for i in range(grid.n_sites)]
+    return diagonal_ops(np.eye(grid.n_sites) / grid.volume_element)
 
 
 def point_mass_ops(grid: LatticeGrid, mass: float) -> list:
@@ -278,9 +278,7 @@ def point_mass_ops(grid: LatticeGrid, mass: float) -> list:
     Idealized σ→0 normalization used by 2-site collapse scenarios: the
     decoherence rate of an off-diagonal element is then γ·mass²·a³ exactly.
     """
-    return [LatticeOperator(mass * np.diag(np.eye(grid.n_sites)[i]).astype(complex),
-                            label=f"point_mass[{i}]")
-            for i in range(grid.n_sites)]
+    return diagonal_ops(mass * np.eye(grid.n_sites))
 
 
 def hopping_hamiltonian(grid: LatticeGrid, hop: float) -> LatticeOperator:
@@ -295,7 +293,7 @@ def hopping_hamiltonian(grid: LatticeGrid, hop: float) -> LatticeOperator:
         h[i, i + 1] = -hop
         h[i + 1, i] = -hop
     h += 2.0 * hop * np.eye(n)
-    return LatticeOperator(h, label="hamiltonian")
+    return LatticeOperator(h)
 
 
 def lindblad_rhs(rho: np.ndarray, h0: np.ndarray, collapse_mats: list,

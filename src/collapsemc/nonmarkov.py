@@ -16,11 +16,15 @@ it, so a trajectory is a product of local-in-time step operators. Because
 the η covariance would otherwise contaminate the ket-bra cross term, the
 unraveling estimator pairs two independent auxiliary draws (η, η′), one
 for the ket and one for the bra.
+
+Stream contract: sample i of an ensemble run with master seed s draws ξ
+from stream (s, 3i), the ket's η from (s, 3i + 1) and the bra's η′ from
+(s, 3i + 2), one `sample_fields`/`sample_relation_fields` row each, so
+every sample is the same for any block or chunk layout.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,17 +339,19 @@ class UnravelingStats:
         return trace_distance_jackknife(self.block_totals, self.block_counts, target)
 
 
-def _sample_xi(factor, seed, index):
-    return gf.sample_fields(factor, 1, seed, 3 * index)[0]
+def _draw_rows(sample, factor, seed: int, lo: int, hi: int, offset: int) -> np.ndarray:
+    """Rows lo..hi−1 of `sample`, row i from stream (seed, 3i + offset):
+    offset 0 for ξ, 1 for the ket's η, 2 for the bra's η′."""
+    return np.concatenate([sample(factor, 1, seed, 3 * i + offset) for i in range(lo, hi)])
 
 
 def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
                       psi0: np.ndarray, n_samples: int, master_seed: int) -> UnravelingStats:
     """Monte-Carlo check of the unraveling condition with auxiliary noise.
 
-    Per sample i, streams (seed, 3i), (seed, 3i+1), (seed, 3i+2) produce
-    ξ, η, η′; the estimator averages |ψ_{ξ,η}><ψ_{ξ,η′}|. Reduction happens
-    in fixed block order so results are independent of scheduling.
+    Sample i draws ξ, η, η′ by the stream contract of the module docstring;
+    the estimator averages |ψ_{ξ,η}><ψ_{ξ,η′}|. Reduction happens in fixed
+    block order so results are independent of scheduling.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     j = phase.sources()
@@ -353,13 +359,10 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
     edges = block_edges(n_samples)
     block_totals = np.zeros((len(edges) - 1, phase.dim, phase.dim), dtype=complex)
     for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xi = np.stack([_sample_xi(factor, master_seed, i) for i in range(lo, hi)])
-        eta_k = np.concatenate([gf.sample_relation_fields(relf, 1, master_seed, 3 * i + 1)
-                                for i in range(lo, hi)])
-        eta_b = np.concatenate([gf.sample_relation_fields(relf, 1, master_seed, 3 * i + 2)
-                                for i in range(lo, hi)])
-        ket = np.exp(-1j * ((xi + eta_k) @ j.T)) * psi0[None, :]
-        bra = np.exp(-1j * ((xi + eta_b) @ j.T)) * psi0[None, :]
+        xi = _draw_rows(gf.sample_fields, factor, master_seed, lo, hi, 0)
+        ket, bra = (np.exp(-1j * ((xi + eta) @ j.T)) * psi0[None, :]
+                    for eta in (_draw_rows(gf.sample_relation_fields, relf, master_seed,
+                                           lo, hi, offset) for offset in (1, 2)))
         check_finite(ket, "non-finite amplitude in pair ensemble")
         check_finite(bra, "non-finite amplitude in pair ensemble")
         block_totals[b] = np.einsum("na,nb->ab", ket, bra.conj())
@@ -388,7 +391,7 @@ def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
     xi_rows, state_rows = [], []
     for lo in range(0, n_samples, FIELD_CHUNK):
         hi = min(lo + FIELD_CHUNK, n_samples)
-        xi = np.stack([_sample_xi(factor, master_seed, i) for i in range(lo, hi)])
+        xi = _draw_rows(gf.sample_fields, factor, master_seed, lo, hi, 0)
         xi_rows.append(xi)
         state_rows.append(linear_states(phase, xi, psi0))
     return FieldEnsemble(samples=np.concatenate(xi_rows),
@@ -404,32 +407,17 @@ def cooked_ensemble(phase: InfluencePhase, ensemble: FieldEnsemble) -> WeightedF
 
 def save_ensemble(path, wfe: WeightedFieldEnsemble, *, kernel_hash: str = "",
                   master_seed: int = None):
-    """Checkpoint the ensemble: binary samples/shifts + JSON manifest."""
-    path = str(path)
-    gf.save_field_samples(path + ".samples", wfe.samples,
-                          {"kernel_hash": kernel_hash, "master_seed": master_seed})
-    manifest = {
-        "kernel_hash": kernel_hash,
-        "master_seed": master_seed,
-        "n_samples": int(wfe.n_samples),
-        "weights": [float(w) for w in wfe.weights],
-        "has_shifts": wfe.beable_shifts is not None,
-    }
-    if wfe.beable_shifts is not None:
-        gf.save_field_samples(path + ".shifts", wfe.beable_shifts, {})
-    with open(path + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    """Checkpoint the ensemble as one `.npz` (gf.write_checkpoint) at `path`:
+    arrays `samples`, `weights` and, when present, `shifts`, plus the
+    manifest (kernel_hash, master_seed, n_samples) as the JSON `meta`."""
+    shifts = {} if wfe.beable_shifts is None else {"shifts": wfe.beable_shifts}
+    manifest = {"kernel_hash": kernel_hash, "master_seed": master_seed,
+                "n_samples": int(wfe.n_samples)}
+    gf.write_checkpoint(path, manifest, samples=wfe.samples, weights=wfe.weights, **shifts)
 
 
 def load_ensemble(path):
     """Inverse of save_ensemble; returns (WeightedFieldEnsemble, manifest)."""
-    path = str(path)
-    with open(path + ".manifest.json") as f:
-        manifest = json.load(f)
-    samples, _ = gf.load_field_samples(path + ".samples")
-    shifts = None
-    if manifest.get("has_shifts"):
-        shifts, _ = gf.load_field_samples(path + ".shifts")
-    weights = np.asarray(manifest["weights"], dtype=float)
-    return WeightedFieldEnsemble(samples=samples, weights=weights,
-                                 beable_shifts=shifts), manifest
+    arrays, manifest = gf.read_checkpoint(path)
+    return WeightedFieldEnsemble(samples=arrays["samples"], weights=arrays["weights"],
+                                 beable_shifts=arrays.get("shifts")), manifest

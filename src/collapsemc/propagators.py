@@ -16,10 +16,17 @@ D(Δt, r) only at the n_t lags Δt = t_k − t_0 for each distinct separation
 r; `pv_kernel_matrix` integrates those and gathers every block by |k − l|,
 conjugating the blocks with k < l.
 
-Every radial integral goes through `_radial_integral`. It evaluates the
-integrand in blocks of whole panels, small enough for the temporaries to
-stay in cache, and fills the blocks after the first on a thread pool sized
-to the cores the process may use; the pool lives only for the call. Each
+Every propagator is one momentum integral, `_momentum_integral`: the signed
+sum over masses of ang·term(ω), ang = p²·j₀(pr)/(2π²) from the angular
+integration, term the caller's time dependence. One grid rule serves all:
+pmax = momentum_cutoff_multiplier·max(heaviest mass, 1/cell_dt), the 1/cell_dt
+term only when cell_dt > 0; panels resolve the scale r + span + cell_dt +
+2/(lightest mass), span being the largest |time| in the term.
+
+`_radial_integral` evaluates that integrand in blocks of whole panels,
+small enough for the temporaries to stay in cache, and fills the blocks
+after the first on a thread pool sized to the cores the process may use;
+the pool lives only for the call. Each
 node sees the same elementwise operations and the contraction with the
 weights is one dot product over all nodes, so results are bit-identical
 for any block size or core count. `g_t_quadrature` is memoized on
@@ -153,6 +160,37 @@ def _j0(z: np.ndarray) -> np.ndarray:
     return np.sinc(z / np.pi)
 
 
+def _momentum_integral(spec: PropagatorSpec, term, r: float, span: float,
+                       what: str, cell_dt: float = 0.0, masses=None):
+    """∫ dp Σ sign·term(ang, ω) over the signed `masses` (by default the PV
+    pair (m_b, +1), (Λ, −1)), on the grid rule of the module docstring;
+    `span` is the largest |time| in `term`."""
+    if masses is None:
+        masses = ((spec.boson_mass, 1.0), (spec.cutoff, -1.0))
+    heaviest = max(m for m, _ in masses)
+    pmax = spec.momentum_cutoff_multiplier * (max(heaviest, 1.0 / cell_dt)
+                                              if cell_dt > 0.0 else heaviest)
+    # panels must also resolve the dispersion turnover at p ~ mass
+    osc = r + span + cell_dt + 2.0 / min(m for m, _ in masses)
+
+    def integrand(p):
+        ang = p * p * _j0(p * r) / TWO_PI_SQ
+        out = 0.0
+        for mass, sign in masses:
+            out += sign * term(ang, np.sqrt(p * p + mass * mass))
+        return out
+
+    return _radial_integral(integrand, pmax, osc_scale=osc,
+                            min_nodes=spec.min_nodes, what=what)
+
+
+def _lag_and_separation(x, y):
+    """(Δt, |Δx|) between two events (t, 3-vector)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x[0] - y[0], float(np.linalg.norm(x[1:] - y[1:]))
+
+
 def vacuum_propagator(spec: PropagatorSpec, x, y, mass: float) -> complex:
     """Single-mass propagator D^m(x,y) at the configured momentum cutoff.
 
@@ -162,21 +200,10 @@ def vacuum_propagator(spec: PropagatorSpec, x, y, mass: float) -> complex:
     """
     if mass <= 0.0:
         raise InvalidParameterError("mass must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dt = x[0] - y[0]
-    r = float(np.linalg.norm(x[1:] - y[1:]))
-    scale = max(r, abs(dt), 1.0 / mass)
-    pmax = spec.momentum_cutoff_multiplier * max(mass, 1.0 / scale)
-
-    def integrand(p):
-        om = np.sqrt(p * p + mass * mass)
-        return p * p * _j0(p * r) * np.exp(-1j * om * dt) / (2.0 * om) / TWO_PI_SQ
-
-    # panels must also resolve the dispersion turnover at p ~ mass
-    val = _radial_integral(integrand, pmax, osc_scale=r + abs(dt) + 2.0 / mass,
-                           min_nodes=spec.min_nodes, what="vacuum_propagator")
-    return complex(val)
+    dt, r = _lag_and_separation(x, y)
+    return complex(_momentum_integral(
+        spec, lambda ang, om: ang * np.exp(-1j * om * dt) / (2.0 * om),
+        r, abs(dt), "vacuum_propagator", masses=((mass, 1.0),)))
 
 
 def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float = 0.0) -> complex:
@@ -185,36 +212,22 @@ def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float = 0.0) -> complex:
     With cell_dt > 0 both mass terms carry the time-cell-average factor
     sinc²(ω·cell_dt/2) and Δt is read as a midpoint difference.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dt = x[0] - y[0]
-    r = float(np.linalg.norm(x[1:] - y[1:]))
-    vals = _pv_values(spec, np.array([dt]), r, cell_dt)
-    return complex(vals[0])
+    dt, r = _lag_and_separation(x, y)
+    return complex(_pv_values(spec, np.array([dt]), r, cell_dt)[0])
 
 
 def _pv_values(spec: PropagatorSpec, dts: np.ndarray, r: float,
                cell_dt: float) -> np.ndarray:
     """PV propagator at one spatial separation for a batch of time lags."""
-    mb, lam = spec.boson_mass, spec.cutoff
-    tmax = float(np.max(np.abs(dts))) if len(dts) else 0.0
-    pmax = spec.momentum_cutoff_multiplier * max(lam, 1.0 / max(cell_dt, 1e-12)
-                                                 if cell_dt > 0.0 else lam)
-    osc = r + tmax + cell_dt + 2.0 / mb
 
-    def integrand(p):
-        out = np.zeros((len(dts), len(p)), dtype=complex)
-        ang = p * p * _j0(p * r) / TWO_PI_SQ
-        for mass, sign in ((mb, 1.0), (lam, -1.0)):
-            om = np.sqrt(p * p + mass * mass)
-            w = ang / (2.0 * om)
-            if cell_dt > 0.0:
-                w = w * _j0(0.5 * om * cell_dt) ** 2
-            out += sign * np.exp(-1j * np.outer(dts, om)) * w[None, :]
-        return out
+    def term(ang, om):
+        w = ang / (2.0 * om)
+        if cell_dt > 0.0:
+            w = w * _j0(0.5 * om * cell_dt) ** 2
+        return np.exp(-1j * np.outer(dts, om)) * w[None, :]
 
-    return _radial_integral(integrand, pmax, osc_scale=osc,
-                            min_nodes=spec.min_nodes, what="pv_propagator")
+    span = float(np.max(np.abs(dts))) if len(dts) else 0.0
+    return _momentum_integral(spec, term, r, span, "pv_propagator", cell_dt)
 
 
 def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray,
@@ -264,21 +277,9 @@ def g_t_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> float:
     """
     if horizon <= 0.0:
         raise InvalidParameterError("horizon must be positive")
-    mb, lam = spec.boson_mass, spec.cutoff
-    scale = max(r, 1.0 / mb)
-    pmax = spec.momentum_cutoff_multiplier * max(lam, 1.0 / scale)
-
-    def integrand(p):
-        ang = p * p * _j0(p * r) / TWO_PI_SQ
-        out = np.zeros(len(p))
-        for mass, sign in ((mb, 1.0), (lam, -1.0)):
-            om = np.sqrt(p * p + mass * mass)
-            out += sign * ang * (1.0 - np.cos(horizon * om)) / om ** 3
-        return out
-
-    val = _radial_integral(integrand, pmax, osc_scale=r + horizon + 2.0 / mb,
-                           min_nodes=spec.min_nodes, what="g_t_quadrature")
-    return float(val)
+    return float(_momentum_integral(
+        spec, lambda ang, om: ang * (1.0 - np.cos(horizon * om)) / om ** 3,
+        r, horizon, "g_t_quadrature"))
 
 
 def omega_infinity(spec: PropagatorSpec, r: float) -> float:
@@ -293,7 +294,7 @@ def omega_infinity(spec: PropagatorSpec, r: float) -> float:
     mb, lam = spec.boson_mass, spec.cutoff
     val = (g * g / FOUR_PI_SQ) * (bessel_k0(mb * r) - bessel_k0(lam * r)
                                   - np.log(lam / mb))
-    return float(min(val, 0.0)) if val > 0.0 else float(val)
+    return float(min(val, 0.0))
 
 
 def omega_plateau(spec: PropagatorSpec) -> float:
@@ -308,6 +309,8 @@ def omega_from_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> flo
     """
     if r <= 0.0:
         raise InvalidParameterError("omega_from_quadrature requires r > 0")
+    if horizon <= 0.0:
+        raise InvalidParameterError("horizon must be positive")
     g = spec.coupling
     if g == 0.0:
         return 0.0

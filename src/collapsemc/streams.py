@@ -8,12 +8,16 @@ and still produce bit-identical per-trajectory noise.
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_LIMIT = 1 << 64
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Return the generator for sub-stream `index` of `master_seed`."""
-    if master_seed < 0 or index < 0:
-        raise ValueError("master_seed and index must be non-negative")
-    key = (int(master_seed) & _MASK64) | ((int(index) & _MASK64) << 64)
+    """Return the generator for sub-stream `index` of `master_seed`.
+
+    Both must lie in [0, 2**64): they fill the two 64-bit halves of the
+    Philox key, so a wider value would alias a smaller one.
+    """
+    if not (0 <= master_seed < _LIMIT and 0 <= index < _LIMIT):
+        raise ValueError("master_seed and index must lie in [0, 2**64)")
+    key = int(master_seed) | (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -106,11 +106,33 @@ def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):
     ("born_rule", {"p_left": -0.2}, "p_left"),
     ("amplification_csl", {"tolerance": 0.0}, "tolerance"),
     ("amplification_csl", {"tolerance": -0.1}, "tolerance"),
+    ("omega_table", {"cutoff": float("inf")}, "cutoff"),
+    ("amplification_csl", {"separation": float("inf")}, "separation"),
+    ("born_rule", {"horizon_rates": float("inf")}, "horizon_rates"),
+    ("amplification_csl", {"tolerance": float("inf")}, "tolerance"),
+    ("quartic_reweight", {"fd_delta": float("nan")}, "fd_delta"),
 ])
 def test_bad_input_rejected_at_load_naming_field(kind, params, field):
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.from_dict({"kind": kind, "seed": 1, "params": params})
     assert exc.value.field == f"params.{field}"
+
+
+def test_json_infinity_exits_2_as_not_finite(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"kind": "omega_table", "seed": 5, "params": {"cutoff": Infinity}}')
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.startswith(
+        "config error [params.cutoff]: cutoff must be finite")
+
+
+@pytest.mark.parametrize("seed", [True, 2 ** 63, -1])
+def test_seed_outside_stream_key_rejected(seed):
+    """A bool seed would be hashed as `true` but drawn as 1; seeds from 2**63
+    on leave no room for the runners' seed + n offsets below 2**64."""
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.from_dict({"kind": "omega_table", "seed": seed})
+    assert exc.value.field == "seed"
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -130,6 +152,9 @@ TABULATE = ["tabulate-omega", "--mb", "1", "--lambda", "10", "--rmin", "0.5",
     (["--lambda", "0.5"], "params.cutoff"),
     (["--horizon", "-1"], "horizon"),
     (["--horizon", "0"], "horizon"),
+    (["--lambda", "inf"], "params.cutoff"),
+    (["--g", "inf"], "params.coupling"),
+    (["--horizon", "inf"], "horizon"),
 ])
 def test_tabulate_omega_bad_input_exits_2_naming_field(tmp_path, capsys, flags, field):
     assert cli.main(TABULATE + ["--out", str(tmp_path)] + flags) == 2

@@ -283,3 +283,23 @@ def test_field_sample_serialization_roundtrip(tmp_path):
     loaded, meta2 = gf.load_field_samples(path)
     np.testing.assert_array_equal(loaded, xi)
     assert meta2 == meta
+
+
+def test_field_sample_file_is_one_npz(tmp_path):
+    path = tmp_path / "samples.bin"
+    gf.save_field_samples(path, np.ones((2, 3), dtype=complex))
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.bin"]
+    samples, meta = gf.load_field_samples(path)
+    np.testing.assert_array_equal(samples, np.ones((2, 3)))
+    assert meta == {}
+
+
+@pytest.mark.parametrize("damage", ["random", "empty", "truncated"])
+def test_load_field_samples_rejects_unreadable_file_naming_path(tmp_path, damage):
+    path = tmp_path / "samples.bin"
+    gf.save_field_samples(path, np.ones((4, 4), dtype=complex), {"seed": 1})
+    raw = path.read_bytes()
+    path.write_bytes({"random": np.random.default_rng(0).bytes(256), "empty": b"",
+                      "truncated": raw[:len(raw) // 2]}[damage])
+    with pytest.raises(InvalidParameterError, match="samples.bin"):
+        gf.load_field_samples(path)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from collapsemc.errors import IntegrationFailureError, InvalidParameterError
 from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
-                                QuantumState, build_mass_density, evolve_lindblad,
+                                QuantumState, build_mass_density, diagonal_ops,
+                                diagonals, evolve_lindblad,
                                 hopping_hamiltonian, mass_density_diagonals,
                                 point_mass_ops, site_density_ops, trace_distance)
 
@@ -133,6 +134,14 @@ def test_site_density_resolution_of_identity():
 
 
 # ------------------------------------------------------------------ lindblad
+
+def test_diagonal_ops_inverts_diagonals():
+    rows = np.arange(6.0).reshape(2, 3) - 2.0
+    ops = diagonal_ops(rows)
+    assert [op.dim for op in ops] == [3, 3]
+    assert all(op.is_hermitian() for op in ops)
+    np.testing.assert_array_equal(diagonals(ops), rows)
+
 
 def test_lindblad_zero_generator_is_identity():
     rho = random_density(3, 1)

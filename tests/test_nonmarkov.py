@@ -331,6 +331,49 @@ def test_ensemble_checkpoint_roundtrip(tmp_path):
     assert manifest["n_samples"] == 64
 
 
+def test_ensemble_checkpoint_without_shifts_is_one_file(tmp_path):
+    rng = np.random.default_rng(4)
+    wfe = nm.WeightedFieldEnsemble(samples=rng.normal(size=(5, 3)) + 1j,
+                                   weights=rng.uniform(size=5))
+    nm.save_ensemble(tmp_path / "plain", wfe, master_seed=3)
+    loaded, manifest = nm.load_ensemble(tmp_path / "plain")
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+    np.testing.assert_array_equal(loaded.samples, wfe.samples)
+    np.testing.assert_array_equal(loaded.weights, wfe.weights)
+    assert loaded.beable_shifts is None
+    assert manifest == {"kernel_hash": "", "master_seed": 3, "n_samples": 5}
+
+
+# ------------------------------------------------------------ stream contract
+
+def test_field_ensemble_rows_follow_stream_contract():
+    phase, factor = make_phase(seed=29)
+    ens = nm.run_field_ensemble(phase, factor, PSI0, nm.FIELD_CHUNK + 2, master_seed=16)
+    for i in (0, 1, nm.FIELD_CHUNK):
+        np.testing.assert_array_equal(ens.samples[i],
+                                      gf.sample_fields(factor, 1, 16, 3 * i)[0])
+
+
+def test_pair_ensemble_block_rebuilds_from_streams():
+    """Block 1 of a 100-sample run holds samples 2 and 3: ξ, the ket's η and
+    the bra's η′ come from streams 3i, 3i + 1 and 3i + 2."""
+    phase, factor = make_phase(seed=30, relation="general")
+    stats = nm.run_pair_ensemble(phase, factor, PSI0, 100, master_seed=17)
+    assert list(stats.block_counts[:2]) == [2, 2]
+    j = phase.sources()
+    relf = gf.relation_factor(phase.auxiliary_relation_kernel())
+    rows = [2, 3]
+    xi = np.concatenate([gf.sample_fields(factor, 1, 17, 3 * i) for i in rows])
+
+    def branch(offset):
+        eta = np.concatenate([gf.sample_relation_fields(relf, 1, 17, 3 * i + offset)
+                              for i in rows])
+        return np.exp(-1j * ((xi + eta) @ j.T)) * PSI0[None, :]
+
+    ket, bra = branch(1), branch(2)
+    assert np.array_equal(stats.block_totals[1], np.einsum("na,nb->ab", ket, bra.conj()))
+
+
 def test_field_ensemble_determinism():
     phase, factor = make_phase(seed=28)
     e1 = nm.run_field_ensemble(phase, factor, PSI0, 100, master_seed=15)

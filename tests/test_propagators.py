@@ -240,6 +240,11 @@ def test_omega_from_quadrature_settles_onto_limit():
     assert early < lim
 
 
+def test_omega_from_quadrature_checks_horizon_at_zero_coupling():
+    with pytest.raises(InvalidParameterError):
+        pg.omega_from_quadrature(spec(lam=10.0, g=0.0), 1.0, -5.0)
+
+
 def test_quadrature_failure_raises():
     def nasty(p):
         return np.sin(40.0 * p)
@@ -341,3 +346,44 @@ def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
         with pytest.raises(QuadratureFailureError):
             pg.g_t_quadrature(s, 1.25, 3.0)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------- grid rule
+
+def _grid_rule(s, masses, r, span, cell_dt=0.0):
+    """(pmax, osc_scale, min_nodes) of the one momentum-grid rule."""
+    heaviest = max(masses)
+    pmax = s.momentum_cutoff_multiplier * (max(heaviest, 1.0 / cell_dt)
+                                           if cell_dt > 0.0 else heaviest)
+    return pmax, r + span + cell_dt + 2.0 / min(masses), s.min_nodes
+
+
+def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch):
+    """Masses are powers of two, so 1/(1/m) == m and a scale-based cutoff
+    max(m, 1/max(r, 1/m)) reads exactly m."""
+    grids = []
+
+    def record(integrand, pmax, osc_scale, min_nodes, what="integral"):
+        grids.append((pmax, osc_scale, min_nodes))
+        return integrand(np.array([1.0]))[..., 0]
+
+    monkeypatch.setattr(pg, "_radial_integral", record)
+    s = spec(mb=0.5, lam=4.0, momentum_cutoff_multiplier=20.0, min_nodes=128)
+    x, y = np.array([0.7, 1.0, 2.0, 2.0]), np.zeros(4)     # Δt = 0.7, r = 3
+    pg.g_t_quadrature.cache_clear()
+    try:
+        pg.vacuum_propagator(s, x, y, mass=2.0)
+        pg.pv_propagator(s, x, y)
+        pg.pv_propagator(s, x, y, cell_dt=0.2)             # 1/cell_dt = 5 > Λ
+        pg.g_t_quadrature(s, 0.0, 6.0)
+        pg.g_t_quadrature(s, 2.0, 6.0)
+    finally:
+        pg.g_t_quadrature.cache_clear()                    # drop the recorded values
+    assert grids == [
+        _grid_rule(s, [2.0], 3.0, 0.7),
+        _grid_rule(s, [0.5, 4.0], 3.0, 0.7),
+        _grid_rule(s, [0.5, 4.0], 3.0, 0.7, cell_dt=0.2),
+        _grid_rule(s, [0.5, 4.0], 0.0, 6.0),
+        _grid_rule(s, [0.5, 4.0], 2.0, 6.0),
+    ]
+    assert grids[2][0] == 20.0 * 5.0
