@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,9 +55,15 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object", field="<root>")
+        known = {f.name for f in fields(cls)}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}", field=str(key))
         version = raw.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}",
+        # `true` and `1.0` equal 1 but would enter the hash as written
+        if (not isinstance(version, int) or isinstance(version, bool)
+                or version != SCHEMA_VERSION):
+            raise ConfigError(f"unsupported schema_version {version!r}",
                               field="schema_version")
         kind = raw.get("kind")
         if not isinstance(kind, str) or kind not in _PARAM_SPECS:
@@ -71,8 +77,11 @@ class ScenarioConfig:
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object", field="params")
+        output_dir = raw.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError("output_dir must be a string or null", field="output_dir")
         cfg = cls(kind=kind, seed=seed, params=dict(params),
-                  output_dir=raw.get("output_dir"), schema_version=version)
+                  output_dir=output_dir, schema_version=version)
         _validate_params(cfg)
         return cfg
 

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
 from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
-                      diagonal_ops, diagonals)
+                      diagonal_ops, diagonals, smearing)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
 from .streams import stream
 
@@ -415,20 +415,16 @@ def effective_cat_ops(grid: LatticeGrid, spec: CatStateSpec, params: CslParams) 
     """
     if spec.separation < 5.0 * params.sigma:
         raise InvalidParameterError("cat peaks must satisfy separation >= 5 sigma")
-    pref = (2.0 * np.pi) ** (-1.5) / params.sigma ** 3
-    rows = []
-    for x in grid.spatial_points:
-        gl = pref * np.exp(-np.sum((x - spec.site_left) ** 2) / (2 * params.sigma ** 2))
-        gr = pref * np.exp(-np.sum((x - spec.site_right) ** 2) / (2 * params.sigma ** 2))
-        rows.append([gl, gr])
-    return diagonal_ops(spec.n_particles * params.masses[0] * np.array(rows))
+    peaks = np.stack([spec.site_left, spec.site_right])
+    gauss = smearing(grid.spatial_points, peaks, params.sigma)    # (n_x, 2)
+    return diagonal_ops(spec.n_particles * params.masses[0] * gauss)
 
 
 def cat_decoherence_rate(grid: LatticeGrid, spec: CatStateSpec, params: CslParams) -> float:
     """Closed-form off-diagonal decay rate of the effective 2-state model:
     (γ/2)·a³·Σ_x (M_L(x) − M_R(x))²."""
-    ops = effective_cat_ops(grid, spec, params)
-    diff = np.array([float(np.real(o.entries[0, 0] - o.entries[1, 1])) for o in ops])
+    diag = diagonals(effective_cat_ops(grid, spec, params))
+    diff = diag[:, 0] - diag[:, 1]
     return 0.5 * params.gamma * grid.volume_element * float((diff ** 2).sum())
 
 

@@ -5,6 +5,9 @@ finite lattice: states, density matrices, smeared mass-density operators,
 the Lindblad master equation used as the ensemble oracle, and the trace
 distance used by every unraveling check.
 
+The Gaussian smearing g_σ behind every mass-density operator is written
+once, in `smearing`.
+
 Units: hbar = c = 1 throughout. The lattice volume element a³ multiplies
 every spatial sum that discretizes an integral.
 """
@@ -15,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import IntegrationFailureError, InvalidParameterError, NumericFailureError
 
@@ -226,6 +228,19 @@ def configurations(grid: LatticeGrid, n_particles: int) -> list:
     return list(itertools.product(range(grid.n_sites), repeat=n_particles))
 
 
+def smearing(points, centers, sigma: float) -> np.ndarray:
+    """g_σ(x − c) = (2π)^{-3/2} σ^{-3} exp(−|x − c|²/2σ²) for every point x
+    (rows) and centre c (columns), both given as (n, 3) coordinate arrays.
+
+    The squared distance is summed one coordinate at a time, so no
+    temporary is larger than the (n_points, n_centers) result.
+    """
+    p = np.asarray(points, dtype=float)
+    c = np.asarray(centers, dtype=float)
+    sq = sum((p[:, None, k] - c[None, :, k]) ** 2 for k in range(3))
+    return (2.0 * np.pi) ** (-1.5) / sigma ** 3 * np.exp(-sq / (2.0 * sigma ** 2))
+
+
 def mass_density_diagonals(grid: LatticeGrid, params: CslParams,
                            n_particles: int = 1) -> np.ndarray:
     """Diagonals of the smeared mass-density operators.
@@ -236,10 +251,7 @@ def mass_density_diagonals(grid: LatticeGrid, params: CslParams,
     """
     if len(params.masses) < n_particles:
         raise InvalidParameterError("need one mass per particle")
-    sigma = params.sigma
-    prefactor = (2.0 * np.pi) ** (-1.5) / sigma ** 3
-    sq = cdist(grid.spatial_points, grid.spatial_points, "sqeuclidean")
-    gauss = prefactor * np.exp(-sq / (2.0 * sigma ** 2))  # (n_x, n_y)
+    gauss = smearing(grid.spatial_points, grid.spatial_points, params.sigma)
     if n_particles == 1:
         return params.masses[0] * gauss
     configs = configurations(grid, n_particles)

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +127,33 @@ def test_json_infinity_exits_2_as_not_finite(tmp_path, capsys):
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out.startswith(
         "config error [params.cutoff]: cutoff must be finite")
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"output_dir": ["x"]}, "output_dir"),
+    ({"ouput_dir": "x"}, "ouput_dir"),
+])
+def test_bad_top_level_field_rejected_at_load(extra, field):
+    """A version of `true` or `1.0` would run as version 1 but be hashed as
+    written; a non-string output_dir would fail only after the run; a
+    misspelt key would be ignored."""
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.from_dict({"kind": "omega_table", "seed": 1, **extra})
+    assert exc.value.field == field
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_spatial():
+    """The two subpackages took over half the package's import time;
+    scipy.stats imports scipy.spatial itself."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, collapsemc.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("seed", [True, 2 ** 63, -1])

@@ -6,8 +6,9 @@ from collapsemc import csl
 from collapsemc.errors import (DegenerateTrajectoryError, FitError,
                                InvalidParameterError)
 from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
-                                LatticeOperator, QuantumState, evolve_lindblad,
-                                hopping_hamiltonian, point_mass_ops, trace_distance)
+                                LatticeOperator, QuantumState, diagonals, evolve_lindblad,
+                                hopping_hamiltonian, mass_density_diagonals,
+                                point_mass_ops, trace_distance)
 
 
 def two_site(gamma=0.2, mass=1.0, spacing=1.0, dt=0.02, n_steps=100, hop=0.0,
@@ -269,6 +270,16 @@ def test_cat_spec_validation():
                              site_right=np.array([2.0, 0.0, 0.0]))
     with pytest.raises(InvalidParameterError):
         csl.effective_cat_ops(grid, close, params)
+
+
+def test_cat_ops_equal_mass_density_at_the_peak_sites():
+    # the amplification_csl geometry: spacing sigma, peaks on sites 3 and 9
+    grid = LatticeGrid.line(13, 1.0, 1.0, 1)
+    params = CslParams(gamma=0.02, sigma=1.0, masses=(1.0,))
+    spec = csl.CatStateSpec(n_particles=1, site_left=grid.spatial_points[3],
+                            site_right=grid.spatial_points[9])
+    cat = diagonals(csl.effective_cat_ops(grid, spec, params))
+    assert np.array_equal(cat, mass_density_diagonals(grid, params)[:, [3, 9]])
 
 
 def test_amplification_single_particle_rate():
