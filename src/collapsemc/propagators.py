@@ -1,48 +1,71 @@
 """Regularized scalar propagators and collapse-strength integrals.
 
 The regulated two-point kernel is the Pauli-Villars pair D = D^{m_b} − D^Λ.
-Single-mass propagators are evaluated with a sharp configured momentum
-cutoff (they are only conditionally convergent); the PV difference decays
-like 1/p² and is integrated as one absolutely convergent radial integral
-after analytic angular integration.
 
-Spacetime lattice kernels are averaged over time cells: in momentum space
-this multiplies each mass term by sinc²(ω dt/2). Cell averaging makes the
-kernel diagonal finite (the raw PV propagator is log-divergent at
-coincident times) and makes dt²·Σ over lattice cells equal the continuum
-double-time integral exactly, so lattice exponents can be compared to the
-closed forms below without discretization bias. A lattice kernel needs
-D(Δt, r) only at the n_t lags Δt = t_k − t_0 for each distinct separation
-r; `pv_kernel_matrix` integrates those and gathers every block by |k − l|,
-conjugating the blocks with k < l.
+Every report path works in position space. With s = √|r² − τ²|, the free
+massive Wightman function is closed form (Bogoliubov & Shirkov 1959,
+appendix on singular functions; DLMF ch. 10):
 
-Every propagator is one momentum integral, `_momentum_integral`: the signed
-sum over masses of ang·term(ω), ang = p²·j₀(pr)/(2π²) from the angular
-integration, term the caller's time dependence. One grid rule serves all:
-pmax = momentum_cutoff_multiplier·max(heaviest mass, 1/cell_dt), the 1/cell_dt
-term only when cell_dt > 0; panels resolve the scale r + span + cell_dt +
-2/(lightest mass), span being the largest |time| in the term.
+  Re D^m = m·K₁(ms)/(4π²s) spacelike,  m·Y₁(ms)/(8πs) timelike,
+  Im D^m = sgn(τ)·m·J₁(ms)/(8πs) timelike, 0 spacelike
 
+(the sign matches e^{−iωΔt}). The mass-independent 1/s² pole and light-cone
+δ cancel in the PV difference, which `_pv_position` evaluates as
+m_b²·φ(m_b s) − Λ²·φ(Λ s) with φ_K(x) = (x·K₁(x) − 1)/x² and
+φ_Y(x) = (x·Y₁(x) + 2/π)/x² (power series below x = 0.5), so no pole is
+subtracted in floating point; once m_b·s ≥ 1 the Bessel terms are
+differenced directly. What remains is log-singular at τ = ±r (and at τ = 0
+when r = 0), and those points are panel ends.
+
+- Spacetime lattice kernels are averaged over time cells:
+  K(Δ, r) = ∫_{−dt}^{dt} (dt − |u|)/dt²·D(Δ + u, r) du, the Fourier pair of
+  sinc²(ω dt/2). Cell averaging makes the kernel diagonal finite (the raw
+  PV propagator is log-divergent at coincident times) and makes dt²·Σ over
+  lattice cells equal the continuum double-time integral exactly, so
+  lattice exponents can be compared to the closed forms below without
+  discretization bias. A lattice kernel needs D(Δt, r) only at the n_t lags
+  Δt = t_k − t_0 for each distinct separation r; `pv_kernel_matrix`
+  integrates those (all lags of one r in one vectorized pass) and gathers
+  every block by |k − l|, conjugating the blocks with k < l.
+- G_T(r) = 2∫₀^T (T − τ)·Re D(τ, r) dτ is that τ-integral for T ≤ r. For
+  T > r it is G_∞(r) + (1/4π)∫_{s_T}^∞ (1 − T/√(s² + r²))·[m_b·Y₁(m_b s) −
+  Λ·Y₁(Λ s)] ds, s_T = √(T² − r²): each mass term is summed over
+  half-periods of π in x = m·s (24-node Gauss-Legendre each) and the
+  partial sums are extrapolated with Wynn's ε-algorithm (MTAC 10, 1956).
+  `g_t_quadrature` is memoized on (spec, r, horizon), since Ω_T(r) needs
+  G_T(0) again for every r.
+- τ-integrals use tanh-sinh on panels over which s moves by at most π/Λ,
+  split at ±r and 0. Each evaluator checks itself: the tanh-sinh sums at
+  steps h and 2h (or the tail extrapolated from fewer half-periods) must
+  agree within _POSITION_RTOL, or `_refined` raises QuadratureFailureError.
+
+Momentum space serves only `vacuum_propagator` and `pv_propagator` at
+`cell_dt = 0`, whose sharp cutoff is part of their contract (single-mass
+propagators are only conditionally convergent). `_momentum_integral` is
+the signed sum over masses of ang·term(ω), ang = p²·j₀(pr)/(2π²) from the
+angular integration, term the caller's time dependence, on one grid rule:
+pmax = momentum_cutoff_multiplier·max(heaviest mass, 1/cell_dt), the
+1/cell_dt term only when cell_dt > 0; panels resolve the scale r + span +
+cell_dt + 2/(lightest mass), span being the largest |time| in the term.
 `_radial_integral` evaluates that integrand in blocks of whole panels,
 small enough for the temporaries to stay in cache, and fills the blocks
 after the first on a thread pool sized to the cores the process may use;
-the pool lives only for the call. Each
-node sees the same elementwise operations and the contraction with the
-weights is one dot product over all nodes, so results are bit-identical
-for any block size or core count. `g_t_quadrature` is memoized on
-(spec, r, horizon), since Ω_T(r) needs G_T(0) again for every r.
+the pool lives only for the call. Each node sees the same elementwise
+operations and the contraction with the weights is one dot product over
+all nodes, so results are bit-identical for any block size or core count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1
+from scipy.special import j1 as _j1, k0 as _scipy_k0, k1 as _scipy_k1, psi as _psi, y1 as _y1
 
 from .errors import InvalidParameterError, QuadratureFailureError
 
@@ -51,11 +74,24 @@ FOUR_PI_SQ = (2.0 * np.pi) ** 2
 _GAUSS_ORDER = 8                  # Gauss-Legendre nodes per panel
 _BLOCK_PANELS = 4096              # panels per integrand evaluation block
 _RADIAL_RTOL = 1e-6               # allowed relative change on panel doubling
+_POSITION_RTOL = 1e-9             # allowed relative change, coarse vs fine rule
+_TS_STEP = 1.0 / 32               # tanh-sinh step on [−1, 1]
+_TS_EDGE = 1e-20                  # nodes stop this close to a panel end, relative
+_SERIES_BELOW = 0.5               # φ_K, φ_Y by their power series below this x
+_SERIES_TERMS = 12                # terms of those series (the last is below 1e-29)
+_TAIL_HALF_PERIODS = 30           # half-periods of Y₁ summed in a G_T tail
+_TAIL_CHECK_HALF_PERIODS = 26     # ... and in its coarse estimate
+_TAIL_GAUSS_ORDER = 24            # Gauss-Legendre nodes per half-period
 
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """Boson mass, PV cutoff, coupling and quadrature configuration."""
+    """Boson mass, PV cutoff, coupling and quadrature configuration.
+
+    `momentum_cutoff_multiplier` and `min_nodes` govern only the momentum
+    paths, `vacuum_propagator` and `pv_propagator` at cell_dt = 0; the
+    position-space evaluators behind every report path have no cutoff.
+    """
 
     boson_mass: float
     cutoff: float
@@ -147,11 +183,15 @@ def _radial_integral(integrand, pmax: float, osc_scale: float,
     for panels in (n_panels, 2 * n_panels):
         p, w = _panel_nodes(pmax, panels)
         results.append(_blocked_values(integrand, p) @ w)
-    coarse, fine = results
+    return _refined(*results, _RADIAL_RTOL, what)
+
+
+def _refined(coarse, fine, rtol: float, what: str):
+    """`fine`, unless it differs from `coarse` by more than rtol·max|fine|."""
     scale = max(np.max(np.abs(fine)), 1e-300)
-    if np.max(np.abs(fine - coarse)) > _RADIAL_RTOL * scale:
+    if np.max(np.abs(fine - coarse)) > rtol * scale:
         raise QuadratureFailureError(
-            f"{what}: refinement changed result beyond rtol={_RADIAL_RTOL}",
+            f"{what}: refinement changed result beyond rtol={rtol}",
             estimates=(coarse, fine))
     return fine
 
@@ -184,6 +224,194 @@ def _momentum_integral(spec: PropagatorSpec, term, r: float, span: float,
                             min_nodes=spec.min_nodes, what=what)
 
 
+# ------------------------------------------------------------ position space
+
+@functools.cache
+def _tanh_sinh_rule():
+    """Tanh-sinh rule on [−1, 1]: (node nearer +1, 1 − |x|, fine weights,
+    coarse weights).
+
+    1 − |x| is kept exactly, so a node a hair from a log-singular panel end
+    is not rounded onto it. The coarse rule is every other node at step 2h.
+    """
+    n = math.ceil(math.asinh(math.log(2.0 / _TS_EDGE) / math.pi) / _TS_STEP)
+    j = np.arange(-n, n + 1)
+    t = j * _TS_STEP
+    u = 0.5 * np.pi * np.sinh(np.abs(t))
+    w = _TS_STEP * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    return j > 0, 2.0 / (np.exp(2.0 * u) + 1.0), w, np.where(j % 2 == 0, 2.0 * w, 0.0)
+
+
+@functools.cache
+def _tail_gauss_rule():
+    """Gauss-Legendre nodes and weights for one half-period of a G_T tail."""
+    return leggauss(_TAIL_GAUSS_ORDER)
+
+
+@functools.cache
+def _series_coefficients():
+    """(1/(k!(k+1)!), (ψ(k+1) + ψ(k+2))/4) for k < _SERIES_TERMS, the
+    coefficients of the φ series (A&S 9.6.11, 9.1.11)
+    Σ_k q^k/(k!(k+1)!)·(½ln(x/2) − (ψ(k+1) + ψ(k+2))/4)."""
+    k = np.arange(_SERIES_TERMS)
+    return (np.array([1.0 / (math.factorial(i) * math.factorial(i + 1)) for i in k]),
+            0.25 * (_psi(k + 1.0) + _psi(k + 2.0)))
+
+
+def _bessel_x1(x: np.ndarray, timelike: np.ndarray) -> np.ndarray:
+    """x·Y₁(x) where timelike, x·K₁(x) elsewhere."""
+    out = np.empty_like(x)
+    out[timelike] = x[timelike] * _y1(x[timelike])
+    out[~timelike] = x[~timelike] * _scipy_k1(x[~timelike])
+    return out
+
+
+def _phi(x: np.ndarray, timelike: np.ndarray) -> np.ndarray:
+    """φ_Y(x) = (x·Y₁(x) + 2/π)/x² where timelike, φ_K(x) = (x·K₁(x) − 1)/x²
+    elsewhere; by power series (q = ∓x²/4) below _SERIES_BELOW."""
+    out = np.empty_like(x)
+    small = x < _SERIES_BELOW
+    xl, tl = x[~small], timelike[~small]
+    out[~small] = (_bessel_x1(xl, tl) - np.where(tl, -2.0 / np.pi, 1.0)) / (xl * xl)
+    xs, ts = x[small], timelike[small]
+    q = np.where(ts, -0.25, 0.25) * xs * xs
+    log_half = 0.5 * np.log(0.5 * xs)
+    acc, qk = np.zeros_like(xs), np.ones_like(xs)
+    for a, c in zip(*_series_coefficients()):
+        acc += a * qk * (log_half - c)
+        qk *= q
+    out[small] = np.where(ts, 2.0 / np.pi, 1.0) * acc
+    return out
+
+
+def _pv_position(spec: PropagatorSpec, anchor: np.ndarray, offset: np.ndarray,
+                 r: float) -> np.ndarray:
+    """Closed-form D_PV(τ, r) at τ = anchor + offset (module docstring).
+
+    s² is formed from (r ∓ anchor) first, so a node `offset` away from a
+    light-cone anchor keeps its distance to the cone.
+    """
+    mb, lam = spec.boson_mass, spec.cutoff
+    prod = ((r - anchor) - offset) * ((r + anchor) + offset)
+    timelike = prod < 0.0
+    s = np.maximum(np.sqrt(np.abs(prod)), 1e-300)
+    near = mb * s < 1.0
+    re = np.empty(s.shape)
+    sn, tn = s[near], timelike[near]
+    re[near] = mb * mb * _phi(mb * sn, tn) - lam * lam * _phi(lam * sn, tn)
+    sf, tf = s[~near], timelike[~near]
+    re[~near] = (_bessel_x1(mb * sf, tf) - _bessel_x1(lam * sf, tf)) / (sf * sf)
+    re *= np.where(timelike, 1.0 / (8.0 * np.pi), 1.0 / FOUR_PI_SQ)
+    im = np.zeros(s.shape)
+    st = s[timelike]
+    im[timelike] = (np.sign((anchor + offset)[timelike]) / (8.0 * np.pi * st)
+                    * (mb * _j1(mb * st) - lam * _j1(lam * st)))
+    return re + 1j * im
+
+
+def _panel_ends(lo: float, hi: float, r: float, lam: float) -> list:
+    """Panel ends on [lo, hi]: cut at ±r and 0, where s = √|r² − τ²| turns,
+    then so that s moves by at most π/Λ across a panel."""
+    cuts = sorted({lo, hi, *(p for p in (-r, 0.0, r) if lo < p < hi)})
+    ends = [lo]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        sign = 1.0 if a + b > 0.0 else -1.0
+        timelike = abs(a + b) > 2.0 * r
+        sa, sb = (math.sqrt(abs(r * r - x * x)) for x in (a, b))
+        n = max(1, math.ceil(abs(sb - sa) * lam / math.pi))
+        inner = np.linspace(sa, sb, n + 1)[1:-1] ** 2
+        ends.extend(sign * np.sqrt(r * r + inner if timelike else r * r - inner))
+        ends.append(b)
+    return ends
+
+
+def _panel_sums(spec: PropagatorSpec, lo: np.ndarray, hi: np.ndarray, r: float,
+                weight):
+    """Fine and coarse tanh-sinh sums of weight(anchor, offset)·D_PV on each
+    panel [lo, hi], nodes at anchor + offset."""
+    right, gap, w, w_coarse = _tanh_sinh_rule()
+    half = 0.5 * (hi - lo)[:, None]
+    anchor = np.where(right, hi[:, None], lo[:, None])
+    offset = np.where(right, -half, half) * gap
+    f = _pv_position(spec, anchor, offset, r) * weight(anchor, offset) * half
+    return f @ w, f @ w_coarse
+
+
+def _cell_averaged(spec: PropagatorSpec, lags, r: float, cell_dt: float) -> np.ndarray:
+    """K(Δ, r) = ∫ (dt − |u|)/dt²·D_PV(Δ + u, r) du at every lag Δ, one pass."""
+    lags = np.asarray(lags, dtype=float)
+    lo, hi, owner = [], [], []
+    for k, lag in enumerate(lags):
+        for a, b in ((lag - cell_dt, lag), (lag, lag + cell_dt)):
+            ends = _panel_ends(a, b, r, spec.cutoff)
+            lo += ends[:-1]
+            hi += ends[1:]
+            owner += [k] * (len(ends) - 1)
+    owner = np.array(owner)
+    own_lag = lags[owner][:, None]
+
+    def triangle(anchor, offset):
+        return (cell_dt - np.abs((anchor - own_lag) + offset)) / cell_dt ** 2
+
+    sums = _panel_sums(spec, np.array(lo), np.array(hi), r, triangle)
+    fine, coarse = (np.bincount(owner, v.real, len(lags))
+                    + 1j * np.bincount(owner, v.imag, len(lags)) for v in sums)
+    return _refined(coarse, fine, _POSITION_RTOL, "pv_propagator")
+
+
+def _g_t_direct(spec: PropagatorSpec, r: float, horizon: float) -> float:
+    """G_T(r) = 2∫₀^T (T − τ)·Re D_PV(τ, r) dτ."""
+    ends = np.array(_panel_ends(0.0, horizon, r, spec.cutoff))
+    fine, coarse = _panel_sums(spec, ends[:-1], ends[1:], r,
+                               lambda anchor, offset: 2.0 * ((horizon - anchor) - offset))
+    return float(_refined(coarse.real.sum(), fine.real.sum(), _POSITION_RTOL,
+                          "g_t_quadrature"))
+
+
+def _wynn(partial_sums: np.ndarray) -> float:
+    """Limit of `partial_sums` by Wynn's ε-algorithm: the last entry of the
+    highest even column reached."""
+    prev, cur = np.zeros(len(partial_sums) + 1), np.asarray(partial_sums, dtype=float)
+    best = cur[-1]
+    for k in range(1, len(partial_sums)):
+        diff = np.diff(cur)
+        if not np.all(diff):            # converged exactly
+            break
+        prev, cur = cur, prev[1:len(cur)] + 1.0 / diff
+        if k % 2 == 0:
+            best = cur[-1]
+    return float(best)
+
+
+def _y1_tail_sums(mass: float, r: float, horizon: float) -> np.ndarray:
+    """Partial sums of ∫_{x₀}^{x₀ + jπ} (1 − T/√((x/m)² + r²))·Y₁(x) dx for
+    j = 1.._TAIL_HALF_PERIODS, x₀ = m·√(T² − r²). Below x₀ = π the first
+    half-period is cut at x₀ + π/2^k, so no panel is wider than its distance
+    to Y₁'s pole at 0."""
+    x0 = mass * math.sqrt((horizon - r) * (horizon + r))
+    graded = x0 + math.pi * 2.0 ** -np.arange(max(0, math.ceil(math.log2(math.pi / x0))), 0, -1)
+    ends = np.concatenate([[x0], graded, x0 + math.pi * np.arange(1, _TAIL_HALF_PERIODS + 1)])
+    xg, wg = _tail_gauss_rule()
+    half = 0.5 * np.diff(ends)[:, None]
+    x = ends[:-1, None] + half * (1.0 + xg)
+    f = (1.0 - horizon / np.sqrt((x / mass) ** 2 + r * r)) * _y1(x)
+    return np.cumsum((f * half) @ wg)[len(graded):]
+
+
+def _g_t_tail(spec: PropagatorSpec, r: float, horizon: float) -> float:
+    """G_T(r) = G_∞(r) + (1/4π)∫_{s_T}^∞ (1 − T/√(s² + r²))·[m_b·Y₁(m_b s) −
+    Λ·Y₁(Λ s)] ds for T > r, each mass term extrapolated by `_wynn`."""
+    mb, lam = spec.boson_mass, spec.cutoff
+    if r > 0.0:
+        g_inf = g_infinity(spec, r, mb) - g_infinity(spec, r, lam)
+    else:
+        g_inf = 2.0 * math.log(lam / mb) / FOUR_PI_SQ
+    tails = [_y1_tail_sums(m, r, horizon) for m in (mb, lam)]
+    fine, coarse = (g_inf + (_wynn(tails[0][:n]) - _wynn(tails[1][:n])) / (4.0 * np.pi)
+                    for n in (_TAIL_HALF_PERIODS, _TAIL_CHECK_HALF_PERIODS))
+    return float(_refined(coarse, fine, _POSITION_RTOL, "g_t_quadrature"))
+
+
 def _lag_and_separation(x, y):
     """(Δt, |Δx|) between two events (t, 3-vector)."""
     x = np.asarray(x, dtype=float)
@@ -209,8 +437,9 @@ def vacuum_propagator(spec: PropagatorSpec, x, y, mass: float) -> complex:
 def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float = 0.0) -> complex:
     """PV-regularized propagator D^{m_b}(x,y) − D^Λ(x,y).
 
-    With cell_dt > 0 both mass terms carry the time-cell-average factor
-    sinc²(ω·cell_dt/2) and Δt is read as a midpoint difference.
+    With cell_dt > 0 it is averaged over time cells, in position space
+    (module docstring), and Δt is read as a midpoint difference; with
+    cell_dt = 0 it is the momentum integral at the configured cutoff.
     """
     dt, r = _lag_and_separation(x, y)
     return complex(_pv_values(spec, np.array([dt]), r, cell_dt)[0])
@@ -218,7 +447,19 @@ def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float = 0.0) -> complex:
 
 def _pv_values(spec: PropagatorSpec, dts: np.ndarray, r: float,
                cell_dt: float) -> np.ndarray:
-    """PV propagator at one spatial separation for a batch of time lags."""
+    """PV propagator at one spatial separation for a batch of time lags:
+    cell-averaged in position space when cell_dt > 0, pointwise at the
+    momentum cutoff otherwise."""
+    if cell_dt > 0.0:
+        return _cell_averaged(spec, dts, r, cell_dt)
+    return _pv_momentum(spec, dts, r, cell_dt)
+
+
+def _pv_momentum(spec: PropagatorSpec, dts: np.ndarray, r: float,
+                 cell_dt: float) -> np.ndarray:
+    """`_pv_values` as a momentum integral. With cell_dt > 0 each mass term
+    carries sinc²(ω·cell_dt/2); no report path takes that branch, which
+    serves as the cutoff-dependent oracle for `_cell_averaged`."""
 
     def term(ang, om):
         w = ang / (2.0 * om)
@@ -271,15 +512,17 @@ def g_infinity(spec: PropagatorSpec, r: float, mass: float) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def g_t_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> float:
-    """PV-subtracted G_T(r) = ∫ d³p/(2π)³ e^{−ip·r} (1 − cos(Tω))/ω³.
+    """PV-subtracted G_T(r) = ∫₀^T∫₀^T D_PV(t − t′, r) dt dt′, which is
+    ∫ d³p/(2π)³ e^{−ip·r} (1 − cos(Tω))/ω³, evaluated in position space: the
+    τ-integral for T ≤ r, G_∞ plus the Y₁ tail for T > r.
 
     Memoized: a pure function of a frozen spec and two floats.
     """
     if horizon <= 0.0:
         raise InvalidParameterError("horizon must be positive")
-    return float(_momentum_integral(
-        spec, lambda ang, om: ang * (1.0 - np.cos(horizon * om)) / om ** 3,
-        r, horizon, "g_t_quadrature"))
+    if horizon <= r:
+        return _g_t_direct(spec, r, horizon)
+    return _g_t_tail(spec, r, horizon)
 
 
 def omega_infinity(spec: PropagatorSpec, r: float) -> float:

@@ -156,6 +156,16 @@ def test_cli_import_loads_neither_scipy_stats_nor_spatial():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_scipy_integrate():
+    """The position-space propagators need only scipy.special; scipy.integrate
+    would cost about a second of import time."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, collapsemc.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("seed", [True, 2 ** 63, -1])
 def test_seed_outside_stream_key_rejected(seed):
     """A bool seed would be hashed as `true` but drawn as 1; seeds from 2**63

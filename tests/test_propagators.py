@@ -339,7 +339,7 @@ def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
         calls.append(args)
         raise QuadratureFailureError("refinement failed", estimates=(0.0, 1.0))
 
-    monkeypatch.setattr(pg, "_radial_integral", failing)
+    monkeypatch.setattr(pg, "_refined", failing)
     pg.g_t_quadrature.cache_clear()
     s = spec(lam=7.0)
     for _ in range(2):
@@ -350,17 +350,16 @@ def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
 
 # ---------------------------------------------------------------- grid rule
 
-def _grid_rule(s, masses, r, span, cell_dt=0.0):
-    """(pmax, osc_scale, min_nodes) of the one momentum-grid rule."""
-    heaviest = max(masses)
-    pmax = s.momentum_cutoff_multiplier * (max(heaviest, 1.0 / cell_dt)
-                                           if cell_dt > 0.0 else heaviest)
-    return pmax, r + span + cell_dt + 2.0 / min(masses), s.min_nodes
+def _grid_rule(s, masses, r, span):
+    """(pmax, osc_scale, min_nodes) of the one momentum-grid rule at cell_dt = 0."""
+    pmax = s.momentum_cutoff_multiplier * max(masses)
+    return pmax, r + span + 2.0 / min(masses), s.min_nodes
 
 
 def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch):
     """Masses are powers of two, so 1/(1/m) == m and a scale-based cutoff
-    max(m, 1/max(r, 1/m)) reads exactly m."""
+    max(m, 1/max(r, 1/m)) reads exactly m. Only the two momentum paths reach
+    the integrator; the cell-averaged kernel and G_T are position-space."""
     grids = []
 
     def record(integrand, pmax, osc_scale, min_nodes, what="integral"):
@@ -370,20 +369,94 @@ def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch)
     monkeypatch.setattr(pg, "_radial_integral", record)
     s = spec(mb=0.5, lam=4.0, momentum_cutoff_multiplier=20.0, min_nodes=128)
     x, y = np.array([0.7, 1.0, 2.0, 2.0]), np.zeros(4)     # Δt = 0.7, r = 3
-    pg.g_t_quadrature.cache_clear()
-    try:
-        pg.vacuum_propagator(s, x, y, mass=2.0)
-        pg.pv_propagator(s, x, y)
-        pg.pv_propagator(s, x, y, cell_dt=0.2)             # 1/cell_dt = 5 > Λ
-        pg.g_t_quadrature(s, 0.0, 6.0)
-        pg.g_t_quadrature(s, 2.0, 6.0)
-    finally:
-        pg.g_t_quadrature.cache_clear()                    # drop the recorded values
+    pg.vacuum_propagator(s, x, y, mass=2.0)
+    pg.pv_propagator(s, x, y)
     assert grids == [
         _grid_rule(s, [2.0], 3.0, 0.7),
         _grid_rule(s, [0.5, 4.0], 3.0, 0.7),
-        _grid_rule(s, [0.5, 4.0], 3.0, 0.7, cell_dt=0.2),
-        _grid_rule(s, [0.5, 4.0], 0.0, 6.0),
-        _grid_rule(s, [0.5, 4.0], 2.0, 6.0),
     ]
-    assert grids[2][0] == 20.0 * 5.0
+    pg.g_t_quadrature.cache_clear()
+    try:
+        pg.pv_propagator(s, x, y, cell_dt=0.2)
+        pg.g_t_quadrature(s, 0.0, 6.0)
+        pg.g_t_quadrature(s, 2.0, 6.0)
+        pg.g_t_quadrature(s, 5.0, 2.0)                     # T <= r: direct τ-integral
+    finally:
+        pg.g_t_quadrature.cache_clear()                    # in case a fake value got in
+    assert len(grids) == 2
+
+
+# ---------------------------------------------------------- position space
+
+def _momentum_g_t(s, r, horizon):
+    """G_T as the momentum integral of (1 - cos(T omega))/omega^3."""
+    return float(pg._momentum_integral(
+        s, lambda ang, om: ang * (1.0 - np.cos(horizon * om)) / om ** 3,
+        r, horizon, "momentum G_T"))
+
+
+def test_g_t_position_space_is_the_limit_of_the_momentum_cutoff():
+    """At r = 0 the sharp cutoff is the only error, and it closes
+    monotonically on the position value; at r > 0 a high cutoff agrees."""
+    lam, horizon = 4.0, 3.0
+    exact = pg.g_t_quadrature(spec(lam=lam), 0.0, horizon)
+    gaps = [abs(_momentum_g_t(spec(lam=lam, momentum_cutoff_multiplier=m), 0.0, horizon)
+                - exact) for m in (50.0, 100.0, 400.0)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    for r in (0.5, 1.0, 2.0):
+        high = _momentum_g_t(spec(lam=lam, momentum_cutoff_multiplier=1600.0), r, horizon)
+        assert pg.g_t_quadrature(spec(lam=lam), r, horizon) == pytest.approx(high, rel=1e-9)
+
+
+@pytest.mark.parametrize("r,horizon", [(2.0, 2.5), (0.5, 3.0), (1.0, 7.0)])
+def test_g_t_direct_integral_equals_infinite_horizon_plus_tail(r, horizon):
+    s = spec(lam=10.0)
+    assert pg._g_t_direct(s, r, horizon) == pytest.approx(
+        pg._g_t_tail(s, r, horizon), rel=1e-10)
+
+
+def test_cell_averaged_kernel_sums_to_g_t_and_is_the_cutoff_limit():
+    """Delta geometry (Lambda = 5, r = 1, T = 2, 16 steps): dt^2 times each
+    block sum is G_T, and every entry is nearer the position value at a
+    cutoff of x400 than at x50."""
+    s = spec(lam=5.0)
+    horizon, n_t = 2.0, 16
+    dt = horizon / n_t
+    times = (np.arange(n_t) + 0.5) * dt
+    kern = pg.pv_kernel_matrix(s, times, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                               cell_dt=dt)
+    lags = times - times[0]
+    for j, r in ((0, 0.0), (1, 1.0)):
+        block = kern[0::2, j::2]
+        assert dt * dt * float(block.real.sum()) == pytest.approx(
+            pg.g_t_quadrature(s, r, horizon), rel=1e-10)
+        exact = pg._pv_values(s, lags, r, dt)
+        assert np.abs(block[:, 0] - exact).max() < 1e-14 * np.abs(exact).max()
+        gap50, gap400 = (np.abs(pg._pv_momentum(spec(lam=5.0, momentum_cutoff_multiplier=m),
+                                                lags, r, dt) - exact)
+                         for m in (50.0, 400.0))
+        assert np.all(gap400 < gap50)
+
+
+def test_cell_averaged_kernel_is_microcausal():
+    """Im D = 0 outside the light cone, so a cross-site cell-averaged entry
+    with |lag| + dt < r is exactly real."""
+    s = spec(lam=10.0)
+    horizon, n_t = 2.0, 8
+    dt = horizon / n_t
+    times = (np.arange(n_t) + 0.5) * dt
+    pts = np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [4.0, 0.0, 0.0]])
+    kern = pg.pv_kernel_matrix(s, times, pts, cell_dt=dt).reshape(n_t, 3, n_t, 3)
+    lag = np.abs(times[:, None] - times[None, :])
+    r = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+    outside = lag[:, None, :, None] + dt < r[None, :, None, :]
+    assert outside.sum() > n_t * n_t * 4                  # every 0-2 and 1-2 entry, and more
+    assert np.all(kern.imag[outside] == 0.0)
+    assert np.abs(kern.imag[~outside]).max() > 1e-3       # inside the cone it is not
+    # cat geometry: peaks 40 apart, T = 20, so every cross entry is spacelike
+    cat = spec(lam=50.0)
+    dt = 20.0 / 16
+    times = (np.arange(16) + 0.5) * dt
+    kern = pg.pv_kernel_matrix(cat, times, np.array([[0.0, 0.0, 0.0], [40.0, 0.0, 0.0]]),
+                               cell_dt=dt)
+    assert np.all(kern[0::2, 1::2].imag == 0.0)
