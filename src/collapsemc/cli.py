@@ -124,8 +124,8 @@ _PARAM_SPECS = {
     "delta_metric": {"boson_mass": 1.0, "cutoff": 5.0, "coupling": 1.0,
                      "r_values": [0.5, 1.0, 2.0], "horizons": [1.0, 2.0, 4.0],
                      "n_steps": 16, "n_samples": 10000},
-    "quartic_reweight": {"n_points": 8, "strength": 0.05, "epsilon": 0.02,
-                         "n_samples": 200000, "fd_delta": 0.01},
+    "quartic_reweight": {"n_points": 8, "epsilon": 0.02, "n_samples": 200000,
+                         "fd_delta": 0.01},
 }
 
 _NUMERIC = (int, float)
@@ -444,8 +444,7 @@ def _run_delta_metric(cfg: ScenarioConfig) -> tuple:
 
 def _run_quartic_reweight(cfg: ScenarioConfig) -> tuple:
     """Check d⟨O⟩/dλ at λ = 0 for O = |ξ_0|²: a central finite difference in
-    the tilt strength against the covariance of O with the tilt. The
-    `strength` parameter enters the config hash but no output."""
+    the tilt strength against the covariance of O with the tilt."""
     p = cfg.params
     n_pts = int(p["n_points"])
     pair = gf.KernelPair(gamma=np.eye(n_pts, dtype=complex),

@@ -46,21 +46,16 @@ the signed sum over masses of ang·term(ω), ang = p²·j₀(pr)/(2π²) from th
 angular integration, term the caller's time dependence, on one grid rule:
 pmax = momentum_cutoff_multiplier·max(heaviest mass, 1/cell_dt), the
 1/cell_dt term only when cell_dt > 0; panels resolve the scale r + span +
-cell_dt + 2/(lightest mass), span being the largest |time| in the term.
-`_radial_integral` evaluates that integrand in blocks of whole panels,
-small enough for the temporaries to stay in cache, and fills the blocks
-after the first on a thread pool sized to the cores the process may use;
-the pool lives only for the call. Each node sees the same elementwise
-operations and the contraction with the weights is one dot product over
-all nodes, so results are bit-identical for any block size or core count.
+cell_dt + 2/(lightest mass), span being the largest |time| in the term,
+with at least _MIN_PANELS panels. `_radial_integral` is one serial pass
+over two grids: the integrand at every node of n panels, then of 2n,
+each contracted with its weights in one dot product.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +67,7 @@ from .errors import InvalidParameterError, QuadratureFailureError
 TWO_PI_SQ = 2.0 * np.pi ** 2      # (2π)³ / (4π)
 FOUR_PI_SQ = (2.0 * np.pi) ** 2
 _GAUSS_ORDER = 8                  # Gauss-Legendre nodes per panel
-_BLOCK_PANELS = 4096              # panels per integrand evaluation block
+_MIN_PANELS = 32                  # fewest panels of a momentum grid (256 nodes)
 _RADIAL_RTOL = 1e-6               # allowed relative change on panel doubling
 _POSITION_RTOL = 1e-9             # allowed relative change, coarse vs fine rule
 _TS_STEP = 1.0 / 32               # tanh-sinh step on [−1, 1]
@@ -86,26 +81,29 @@ _TAIL_GAUSS_ORDER = 24            # Gauss-Legendre nodes per half-period
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """Boson mass, PV cutoff, coupling and quadrature configuration.
+    """Boson mass, PV cutoff, coupling and momentum cutoff multiplier.
 
-    `momentum_cutoff_multiplier` and `min_nodes` govern only the momentum
-    paths, `vacuum_propagator` and `pv_propagator` at cell_dt = 0; the
+    `momentum_cutoff_multiplier` governs only the momentum paths,
+    `vacuum_propagator` and `pv_propagator` at cell_dt = 0; the
     position-space evaluators behind every report path have no cutoff.
+    Every field must be finite.
     """
 
     boson_mass: float
     cutoff: float
     coupling: float = 1.0
     momentum_cutoff_multiplier: float = 50.0
-    min_nodes: int = 256
 
     def __post_init__(self):
+        for name in ("boson_mass", "cutoff", "coupling", "momentum_cutoff_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
         if not (self.cutoff > self.boson_mass > 0.0):
             raise InvalidParameterError("require cutoff > boson_mass > 0")
         if self.coupling < 0.0:
             raise InvalidParameterError("coupling must be non-negative")
-        if self.min_nodes < 64:
-            raise InvalidParameterError("node count must be at least 64")
+        if self.momentum_cutoff_multiplier <= 0.0:
+            raise InvalidParameterError("momentum_cutoff_multiplier must be positive")
 
 
 def bessel_k0(x: float) -> float:
@@ -133,56 +131,19 @@ def _panel_nodes(pmax: float, n_panels: int):
     return p, w
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blocked_values(integrand, p: np.ndarray) -> np.ndarray:
-    """`integrand(p)`, evaluated in blocks of _BLOCK_PANELS panels.
-
-    Blocks after the first are filled on up to one thread per usable core;
-    each writes its own slice, so the result does not depend on the count.
-    """
-    step = _BLOCK_PANELS * _GAUSS_ORDER
-    first = np.asarray(integrand(p[:step]))
-    if len(p) <= step:
-        return first
-    vals = np.empty(first.shape[:-1] + (len(p),), dtype=first.dtype)
-    vals[..., :step] = first
-    starts = range(step, len(p), step)
-
-    def fill(a):
-        vals[..., a:a + step] = integrand(p[a:a + step])
-
-    workers = min(_usable_cores(), len(starts))
-    if workers == 1:
-        # a lone worker thread saves no time, and its own malloc arena
-        # raised field_ensemble's peak RSS from 225 to 232 MB (2-core VM)
-        for a in starts:
-            fill(a)
-        return vals
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, starts))
-    return vals
-
-
 def _radial_integral(integrand, pmax: float, osc_scale: float,
-                     min_nodes: int, what: str = "integral"):
+                     what: str = "integral"):
     """Integrate `integrand(p)` on [0, pmax] with oscillation-aware panels.
 
     Runs once and once more at doubled panel count; a relative disagreement
     above _RADIAL_RTOL raises QuadratureFailureError. `integrand` may return a
     stacked array whose last axis runs over p.
     """
-    n_panels = max(16, int(np.ceil(min_nodes / _GAUSS_ORDER)),
-                   2 * int(np.ceil(pmax * max(osc_scale, 1e-12) / np.pi)))
+    n_panels = max(_MIN_PANELS, 2 * int(np.ceil(pmax * max(osc_scale, 1e-12) / np.pi)))
     results = []
     for panels in (n_panels, 2 * n_panels):
         p, w = _panel_nodes(pmax, panels)
-        results.append(_blocked_values(integrand, p) @ w)
+        results.append(np.asarray(integrand(p)) @ w)
     return _refined(*results, _RADIAL_RTOL, what)
 
 
@@ -220,8 +181,7 @@ def _momentum_integral(spec: PropagatorSpec, term, r: float, span: float,
             out += sign * term(ang, np.sqrt(p * p + mass * mass))
         return out
 
-    return _radial_integral(integrand, pmax, osc_scale=osc,
-                            min_nodes=spec.min_nodes, what=what)
+    return _radial_integral(integrand, pmax, osc_scale=osc, what=what)
 
 
 # ------------------------------------------------------------ position space

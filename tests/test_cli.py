@@ -92,7 +92,7 @@ def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):
     ("amplification_csl", {"n_values": [2, 3]}, "n_values"),
     ("amplification_csl", {"separation": 4.0}, "separation"),
     ("quartic_reweight", {"fd_delta": 0.0}, "fd_delta"),
-    ("quartic_reweight", {"strength": 0.0, "epsilon": 0.0}, "epsilon"),
+    ("quartic_reweight", {"epsilon": 0.0}, "epsilon"),
     ("quartic_reweight", {"n_points": 8.0}, "n_points"),
     ("beable_stats", {"n_steps": 2.5}, "n_steps"),
     ("beable_stats", {"coupling": -1.0}, "coupling"),
@@ -114,6 +114,7 @@ def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):
     ("born_rule", {"horizon_rates": float("inf")}, "horizon_rates"),
     ("amplification_csl", {"tolerance": float("inf")}, "tolerance"),
     ("quartic_reweight", {"fd_delta": float("nan")}, "fd_delta"),
+    ("quartic_reweight", {"strength": 0.05}, "strength"),
 ])
 def test_bad_input_rejected_at_load_naming_field(kind, params, field):
     with pytest.raises(ConfigError) as exc:

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -69,7 +67,20 @@ def test_spec_invariants():
     with pytest.raises(InvalidParameterError):
         pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, coupling=-1.0)
     with pytest.raises(InvalidParameterError):
-        pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, min_nodes=32)
+        pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, momentum_cutoff_multiplier=0.0)
+
+
+@pytest.mark.parametrize("field", ["boson_mass", "cutoff", "coupling",
+                                   "momentum_cutoff_multiplier"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_spec_rejects_non_finite_fields(field, value):
+    """A non-finite field is refused by name; an infinite cutoff or coupling
+    would otherwise reach the quadrature (math domain error, overflow) or
+    give an infinite or NaN exponent."""
+    kw = {"boson_mass": 1.0, "cutoff": 10.0, "coupling": 1.0,
+          "momentum_cutoff_multiplier": 50.0, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be finite$"):
+        pg.PropagatorSpec(**kw)
 
 
 def test_vacuum_propagator_hermitian_and_translation_invariant():
@@ -250,7 +261,7 @@ def test_quadrature_failure_raises():
         return np.sin(40.0 * p)
 
     with pytest.raises(QuadratureFailureError):
-        pg._radial_integral(nasty, pmax=60.0, osc_scale=0.0, min_nodes=64)
+        pg._radial_integral(nasty, pmax=60.0, osc_scale=0.0)
 
 
 def test_tabulate_omega_rows():
@@ -278,7 +289,7 @@ def test_equal_time_pv_kernel_psd_report_matches_eigen_oracle():
     assert report.min_eigenvalue == pytest.approx(oracle, rel=1e-12)
 
 
-# ------------------------------------------------------- blocked evaluation
+# -------------------------------------------------------- radial integral
 
 def _stacked_pv_like(p):
     """Stacked complex integrand of the shape `_pv_values` integrates."""
@@ -287,38 +298,13 @@ def _stacked_pv_like(p):
     return np.exp(-1j * np.outer(lags, om)) * (p * p * np.sinc(p / np.pi) / om)[None, :]
 
 
-@pytest.mark.parametrize("block_panels", [16, 50, 128])
-@pytest.mark.parametrize("cores", [1, 4, 16])
-def test_blocked_radial_integral_is_bit_identical(monkeypatch, block_panels, cores):
-    """Any block size and worker count gives exactly the one-shot result."""
-    pmax, osc = 40.0, 10.0
-    monkeypatch.setattr(pg, "_BLOCK_PANELS", 10 ** 9)
-    one_shot = pg._radial_integral(_stacked_pv_like, pmax, osc, min_nodes=64)
-    p, w = pg._panel_nodes(pmax, 512)
-    reference = _stacked_pv_like(p) @ w
-    assert np.array_equal(one_shot, reference)
-
-    monkeypatch.setattr(pg, "_BLOCK_PANELS", block_panels)
-    monkeypatch.setattr(pg.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    threads_before = threading.active_count()
-    assert len(p) > 3 * block_panels * 8           # several blocks
-    assert np.array_equal(pg._blocked_values(_stacked_pv_like, p) @ w, reference)
-    blocked = pg._radial_integral(_stacked_pv_like, pmax, osc, min_nodes=64)
-    assert blocked.shape == (4,)
-    assert np.array_equal(blocked, one_shot)
-    assert threading.active_count() == threads_before
-
-
-@pytest.mark.parametrize("cpu_count", [None, 3])
-def test_blocked_values_without_affinity_call(monkeypatch, cpu_count):
-    """Where the OS has no affinity call the pool is sized by os.cpu_count(),
-    and the values are still exactly the one-shot ones."""
-    p, _ = pg._panel_nodes(40.0, 512)
-    monkeypatch.setattr(pg, "_BLOCK_PANELS", 16)
-    monkeypatch.delattr(pg.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(pg.os, "cpu_count", lambda: cpu_count)
-    assert pg._usable_cores() == (cpu_count or 1)
-    assert np.array_equal(pg._blocked_values(_stacked_pv_like, p), _stacked_pv_like(p))
+def test_radial_integral_is_the_fine_grid_dot_product():
+    """The result is exactly the stacked integrand on the doubled grid
+    (2·2⌈pmax·osc/π⌉ = 512 panels) contracted with its weights."""
+    p, w = pg._panel_nodes(40.0, 512)
+    result = pg._radial_integral(_stacked_pv_like, 40.0, 10.0)
+    assert result.shape == (4,)
+    assert np.array_equal(result, _stacked_pv_like(p) @ w)
 
 
 def test_tabulate_omega_rows_equal_uncached_quadrature():
@@ -351,9 +337,9 @@ def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
 # ---------------------------------------------------------------- grid rule
 
 def _grid_rule(s, masses, r, span):
-    """(pmax, osc_scale, min_nodes) of the one momentum-grid rule at cell_dt = 0."""
+    """(pmax, osc_scale) of the one momentum-grid rule at cell_dt = 0."""
     pmax = s.momentum_cutoff_multiplier * max(masses)
-    return pmax, r + span + 2.0 / min(masses), s.min_nodes
+    return pmax, r + span + 2.0 / min(masses)
 
 
 def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch):
@@ -362,12 +348,12 @@ def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch)
     the integrator; the cell-averaged kernel and G_T are position-space."""
     grids = []
 
-    def record(integrand, pmax, osc_scale, min_nodes, what="integral"):
-        grids.append((pmax, osc_scale, min_nodes))
+    def record(integrand, pmax, osc_scale, what="integral"):
+        grids.append((pmax, osc_scale))
         return integrand(np.array([1.0]))[..., 0]
 
     monkeypatch.setattr(pg, "_radial_integral", record)
-    s = spec(mb=0.5, lam=4.0, momentum_cutoff_multiplier=20.0, min_nodes=128)
+    s = spec(mb=0.5, lam=4.0, momentum_cutoff_multiplier=20.0)
     x, y = np.array([0.7, 1.0, 2.0, 2.0]), np.zeros(4)     # Δt = 0.7, r = 3
     pg.vacuum_propagator(s, x, y, mass=2.0)
     pg.pv_propagator(s, x, y)
