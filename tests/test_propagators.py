@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -298,13 +301,39 @@ def _stacked_pv_like(p):
     return np.exp(-1j * np.outer(lags, om)) * (p * p * np.sinc(p / np.pi) / om)[None, :]
 
 
-def test_radial_integral_is_the_fine_grid_dot_product():
-    """The result is exactly the stacked integrand on the doubled grid
-    (2·2⌈pmax·osc/π⌉ = 512 panels) contracted with its weights."""
+def _blocked_oracle(integrand, p, block_panels, cores):
+    """`integrand(p)` evaluated block by block, blocks of `block_panels`
+    eight-node panels filled on `cores` threads: the evaluation the serial
+    integral replaced, kept here as its reference."""
+    step = block_panels * 8
+    first = np.asarray(integrand(p[:step]))
+    vals = np.empty(first.shape[:-1] + (len(p),), dtype=first.dtype)
+    vals[..., :step] = first
+
+    def fill(a):
+        vals[..., a:a + step] = integrand(p[a:a + step])
+
+    with ThreadPoolExecutor(max_workers=cores) as pool:
+        list(pool.map(fill, range(step, len(p), step)))
+    return vals
+
+
+@pytest.mark.parametrize("block_panels", [16, 50, 128])
+@pytest.mark.parametrize("cores", [1, 4, 16])
+def test_blocked_radial_integral_is_bit_identical(block_panels, cores):
+    """The serial integral is exactly the stacked integrand on the doubled
+    grid (2·2⌈pmax·osc/π⌉ = 512 panels) contracted with its weights, equal
+    bit for bit to the same integrand evaluated in blocks on any number of
+    threads, and it starts no thread of its own."""
     p, w = pg._panel_nodes(40.0, 512)
+    assert len(p) > 3 * block_panels * 8           # several blocks
+    threads_before = threading.active_count()
     result = pg._radial_integral(_stacked_pv_like, 40.0, 10.0)
+    assert threading.active_count() == threads_before
     assert result.shape == (4,)
     assert np.array_equal(result, _stacked_pv_like(p) @ w)
+    blocked = _blocked_oracle(_stacked_pv_like, p, block_panels, cores)
+    assert np.array_equal(result, blocked @ w)
 
 
 def test_tabulate_omega_rows_equal_uncached_quadrature():
