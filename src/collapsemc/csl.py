@@ -27,7 +27,7 @@ from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
 from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
                       diagonal_ops, diagonals, smearing)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
-from .streams import stream
+from .streams import normal_rows
 
 NORM_TOL = 1e-8
 DT_STABILITY_TARGET = 1e-2
@@ -37,11 +37,7 @@ TRAJ_BATCH = 512                # trajectories stepped together in one block
 
 def _noise_batch(grid: LatticeGrid, master_seed: int, indices) -> np.ndarray:
     scale = 1.0 / np.sqrt(grid.time_step * grid.volume_element)
-    out = np.empty((len(indices), grid.n_steps, grid.n_sites))
-    for row, idx in enumerate(indices):
-        out[row] = stream(master_seed, int(idx)).standard_normal(
-            (grid.n_steps, grid.n_sites))
-    return out * scale
+    return normal_rows(master_seed, indices, (grid.n_steps, grid.n_sites)) * scale
 
 
 @dataclass

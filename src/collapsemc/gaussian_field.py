@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotPositiveSemidefiniteError
 from .hilbert import adjoint_error, check_finite
-from .streams import stream
+from .streams import normal_rows, stream
 
 log = logging.getLogger(__name__)
 
@@ -138,14 +138,29 @@ def factor_kernel(pair: KernelPair) -> SamplingFactor:
                           clipped_mass=clipped_mass, kernel_hash=pair.hash())
 
 
+def _fields(factor: SamplingFactor, z: np.ndarray) -> np.ndarray:
+    """Map standard normals z of shape (..., m) to fields (..., n_points)."""
+    u = z @ factor.factor.T
+    n = factor.n_points
+    return u[..., :n] + 1j * u[..., n:]
+
+
 def sample_fields(factor: SamplingFactor, n_samples: int, seed: int,
                   stream_index: int = 0) -> np.ndarray:
     """Draw an (n_samples, n_points) array of field realizations."""
     rng = stream(seed, stream_index)
-    z = rng.standard_normal((n_samples, factor.factor.shape[1]))
-    u = z @ factor.factor.T
-    n = factor.n_points
-    return u[:, :n] + 1j * u[:, n:]
+    return _fields(factor, rng.standard_normal((n_samples, factor.factor.shape[1])))
+
+
+def field_rows(factor: SamplingFactor, seed: int, indices) -> np.ndarray:
+    """One field per stream index: row j equals
+    `sample_fields(factor, 1, seed, indices[j])[0]` bit for bit.
+
+    The normals are stacked as (N, 1, m), so the matmul runs the same
+    (1, m) product per row as a one-sample draw; one (N, m) product would
+    sum in another order and move values by rounding.
+    """
+    return _fields(factor, normal_rows(seed, indices, (1, factor.factor.shape[1])))[:, 0]
 
 
 def sample_field(factor: SamplingFactor, seed: int) -> FieldSample:
@@ -172,15 +187,28 @@ def relation_factor(kernel: np.ndarray) -> tuple:
     return va, sa, vb, sb
 
 
+def _relation_fields(kernel_factor, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """η = Va·(sa ⊙ g) + Vb·(sb ⊙ h) over the last axis of g and h."""
+    va, sa, vb, sb = kernel_factor
+    return (g * sa) @ va.T + (h * sb) @ vb.T
+
+
 def sample_relation_fields(kernel_factor, n_samples: int, seed: int,
                            stream_index: int = 0) -> np.ndarray:
     """Sample fields with the prescribed relation kernel (from relation_factor)."""
-    va, sa, vb, sb = kernel_factor
     rng = stream(seed, stream_index)
-    n = va.shape[0]
+    n = kernel_factor[0].shape[0]
     g = rng.standard_normal((n_samples, n))
     h = rng.standard_normal((n_samples, n))
-    return (g * sa) @ va.T + (h * sb) @ vb.T
+    return _relation_fields(kernel_factor, g, h)
+
+
+def relation_field_rows(kernel_factor, seed: int, indices) -> np.ndarray:
+    """Row j equals `sample_relation_fields(kernel_factor, 1, seed, indices[j])[0]`
+    bit for bit: g and h are consecutive draws of one stream, stacked per
+    row as (N, 2, 1, n) and mapped by (1, n) products as in `field_rows`."""
+    z = normal_rows(seed, indices, (2, 1, kernel_factor[0].shape[0]))
+    return _relation_fields(kernel_factor, z[:, 0], z[:, 1])[:, 0]
 
 
 def characteristic_check(pair: KernelPair, a: np.ndarray, b: np.ndarray,

@@ -19,8 +19,11 @@ for the ket and one for the bra.
 
 Stream contract: sample i of an ensemble run with master seed s draws ξ
 from stream (s, 3i), the ket's η from (s, 3i + 1) and the bra's η′ from
-(s, 3i + 2), one `sample_fields`/`sample_relation_fields` row each, so
-every sample is the same for any block or chunk layout.
+(s, 3i + 2), so every sample is the same for any block or chunk layout.
+Each row is bit for bit the one-sample draw `sample_fields(factor, 1, s,
+3i)[0]` (and `sample_relation_fields` for η, η′); `gf.field_rows` and
+`gf.relation_field_rows` produce a block of them from one re-keyed Philox
+generator and one stacked matmul, with values unchanged.
 """
 
 from __future__ import annotations
@@ -339,10 +342,11 @@ class UnravelingStats:
         return trace_distance_jackknife(self.block_totals, self.block_counts, target)
 
 
-def _draw_rows(sample, factor, seed: int, lo: int, hi: int, offset: int) -> np.ndarray:
-    """Rows lo..hi−1 of `sample`, row i from stream (seed, 3i + offset):
-    offset 0 for ξ, 1 for the ket's η, 2 for the bra's η′."""
-    return np.concatenate([sample(factor, 1, seed, 3 * i + offset) for i in range(lo, hi)])
+def _draw_rows(rows, factor, seed: int, lo: int, hi: int, offset: int) -> np.ndarray:
+    """Samples lo..hi−1 from `rows` (gf.field_rows or gf.relation_field_rows),
+    sample i from stream (seed, 3i + offset): offset 0 for ξ, 1 for the
+    ket's η, 2 for the bra's η′."""
+    return rows(factor, seed, range(3 * lo + offset, 3 * hi + offset, 3))
 
 
 def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
@@ -359,9 +363,9 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
     edges = block_edges(n_samples)
     block_totals = np.zeros((len(edges) - 1, phase.dim, phase.dim), dtype=complex)
     for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xi = _draw_rows(gf.sample_fields, factor, master_seed, lo, hi, 0)
+        xi = _draw_rows(gf.field_rows, factor, master_seed, lo, hi, 0)
         ket, bra = (np.exp(-1j * ((xi + eta) @ j.T)) * psi0[None, :]
-                    for eta in (_draw_rows(gf.sample_relation_fields, relf, master_seed,
+                    for eta in (_draw_rows(gf.relation_field_rows, relf, master_seed,
                                            lo, hi, offset) for offset in (1, 2)))
         check_finite(ket, "non-finite amplitude in pair ensemble")
         check_finite(bra, "non-finite amplitude in pair ensemble")
@@ -391,7 +395,7 @@ def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
     xi_rows, state_rows = [], []
     for lo in range(0, n_samples, FIELD_CHUNK):
         hi = min(lo + FIELD_CHUNK, n_samples)
-        xi = _draw_rows(gf.sample_fields, factor, master_seed, lo, hi, 0)
+        xi = _draw_rows(gf.field_rows, factor, master_seed, lo, hi, 0)
         xi_rows.append(xi)
         state_rows.append(linear_states(phase, xi, psi0))
     return FieldEnsemble(samples=np.concatenate(xi_rows),

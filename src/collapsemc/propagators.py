@@ -386,8 +386,8 @@ def vacuum_propagator(spec: PropagatorSpec, x, y, mass: float) -> complex:
     ∫ d³p e^{−iω Δt + ip·Δx} / (2(2π)³ ω) is reduced to a radial quadrature
     after the angular integration; the sharp cutoff is part of the contract.
     """
-    if mass <= 0.0:
-        raise InvalidParameterError("mass must be positive")
+    if not 0.0 < mass < math.inf:
+        raise InvalidParameterError("mass must be positive and finite")
     dt, r = _lag_and_separation(x, y)
     return complex(_momentum_integral(
         spec, lambda ang, om: ang * np.exp(-1j * om * dt) / (2.0 * om),
@@ -410,6 +410,8 @@ def _pv_values(spec: PropagatorSpec, dts: np.ndarray, r: float,
     """PV propagator at one spatial separation for a batch of time lags:
     cell-averaged in position space when cell_dt > 0, pointwise at the
     momentum cutoff otherwise."""
+    if not 0.0 <= cell_dt < math.inf:
+        raise InvalidParameterError("cell_dt must be finite and non-negative")
     if cell_dt > 0.0:
         return _cell_averaged(spec, dts, r, cell_dt)
     return _pv_momentum(spec, dts, r, cell_dt)

@@ -9,6 +9,7 @@ from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
                                 LatticeOperator, QuantumState, diagonals, evolve_lindblad,
                                 hopping_hamiltonian, mass_density_diagonals,
                                 point_mass_ops, trace_distance)
+from collapsemc.streams import stream
 
 
 def two_site(gamma=0.2, mass=1.0, spacing=1.0, dt=0.02, n_steps=100, hop=0.0,
@@ -42,6 +43,17 @@ def test_white_noise_determinism():
     c = csl.WhiteNoiseRealization.draw(grid, master_seed=7, index=4)
     np.testing.assert_array_equal(a.values, b.values)
     assert np.any(a.values != c.values)
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2], [7, 2, 7, 40, 2 ** 64 - 1], []])
+def test_noise_batch_equals_per_index_streams(indices):
+    """Each row is the white noise of its own stream (master seed, index)."""
+    grid = LatticeGrid.line(3, 0.8, 0.05, 17)
+    scale = 1.0 / np.sqrt(grid.time_step * grid.volume_element)
+    expected = np.empty((len(indices), grid.n_steps, grid.n_sites))
+    for row, idx in enumerate(indices):
+        expected[row] = stream(11, idx).standard_normal((grid.n_steps, grid.n_sites))
+    assert np.array_equal(csl._noise_batch(grid, 11, indices), expected * scale)
 
 
 # -------------------------------------------------------------------- steps

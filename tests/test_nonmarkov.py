@@ -33,6 +33,21 @@ def make_phase(n_steps=4, n_sites=2, seed=0, scale=0.12, relation="zero",
     return nm.build_influence_phase(pair, couplings, times, dt, volume_element=1.0)
 
 
+def clipped_phase():
+    """Phase and factor of an indefinite kernel clipped within an infinite
+    floor: the factor keeps fewer columns than the 2P of the stacked matrix."""
+    rng = np.random.default_rng(20)
+    p = 8
+    a = 0.2 * (rng.normal(size=(p, 2 * p)) + 1j * rng.normal(size=(p, 2 * p)))
+    evals, evecs = np.linalg.eigh(a @ a.conj().T)
+    evals[0] = -0.02                                  # force indefiniteness
+    gamma = (evecs * evals) @ evecs.conj().T
+    pair = gf.KernelPair(gamma=0.5 * (gamma + gamma.conj().T),
+                         relation=np.zeros((p, p), dtype=complex), psd_floor=np.inf)
+    couplings = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    return nm.build_influence_phase(pair, couplings, (np.arange(4) + 0.5) * 0.25, 0.25)
+
+
 PSI0 = np.array([np.sqrt(0.35), np.sqrt(0.65)], dtype=complex)
 
 
@@ -138,20 +153,7 @@ def test_pair_ensemble_determinism():
 def test_indefinite_kernel_clipped_consistently():
     """A kernel pair with small negative stacked eigenvalues gets clipped;
     sampler and oracle share the clipped kernel so the unraveling holds."""
-    rng = np.random.default_rng(20)
-    p = 8
-    a = 0.2 * (rng.normal(size=(p, 2 * p)) + 1j * rng.normal(size=(p, 2 * p)))
-    gamma = a @ a.conj().T
-    evals, evecs = np.linalg.eigh(gamma)
-    evals[0] = -0.02                                  # force indefiniteness
-    gamma = (evecs * evals) @ evecs.conj().T
-    gamma = 0.5 * (gamma + gamma.conj().T)
-    pair = gf.KernelPair(gamma=gamma, relation=np.zeros((p, p), dtype=complex),
-                         psd_floor=np.inf)
-    times = (np.arange(4) + 0.5) * 0.25
-    couplings = [np.diag([1.0, 0.0]).astype(complex),
-                 np.diag([0.0, 1.0]).astype(complex)]
-    phase, factor = nm.build_influence_phase(pair, couplings, times, 0.25)
+    phase, factor = clipped_phase()
     assert factor.clipped_mass > 0.0
     # clipped covariance is PSD
     assert np.linalg.eigvalsh(phase.kernel.gamma).min() > -1e-10
@@ -372,6 +374,22 @@ def test_pair_ensemble_block_rebuilds_from_streams():
 
     ket, bra = branch(1), branch(2)
     assert np.array_equal(stats.block_totals[1], np.einsum("na,nb->ab", ket, bra.conj()))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 5), (nm.FIELD_CHUNK - 3, nm.FIELD_CHUNK + 3)])
+def test_draw_rows_equal_one_sample_draws(lo, hi):
+    """Every row of a block, on a clipped factor and across a FIELD_CHUNK
+    boundary, is the one-sample draw of its own stream, bit for bit."""
+    phase, factor = clipped_phase()
+    assert factor.factor.shape[1] < 2 * factor.n_points
+    relf = gf.relation_factor(phase.auxiliary_relation_kernel())
+    xi = nm._draw_rows(gf.field_rows, factor, 18, lo, hi, 0)
+    assert np.array_equal(xi, np.concatenate(
+        [gf.sample_fields(factor, 1, 18, 3 * i) for i in range(lo, hi)]))
+    for offset in (1, 2):
+        eta = nm._draw_rows(gf.relation_field_rows, relf, 18, lo, hi, offset)
+        assert np.array_equal(eta, np.concatenate(
+            [gf.sample_relation_fields(relf, 1, 18, 3 * i + offset) for i in range(lo, hi)]))
 
 
 def test_field_ensemble_determinism():

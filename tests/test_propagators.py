@@ -86,6 +86,26 @@ def test_spec_rejects_non_finite_fields(field, value):
         pg.PropagatorSpec(**kw)
 
 
+@pytest.mark.parametrize("mass", [np.inf, np.nan, 0.0, -1.0])
+def test_vacuum_propagator_rejects_bad_mass(mass):
+    """An infinite or NaN mass is refused by name, not left to overflow in
+    the panel count of the momentum integral."""
+    with pytest.raises(InvalidParameterError, match="^mass must be positive and finite$"):
+        pg.vacuum_propagator(spec(), (0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0), mass)
+
+
+@pytest.mark.parametrize("cell_dt", [-0.1, np.inf, -np.inf, np.nan])
+def test_pv_paths_reject_bad_cell_dt(cell_dt):
+    """A negative cell_dt no longer falls through to the pointwise cutoff
+    kernel, and a non-finite one is refused before any integral."""
+    match = "^cell_dt must be finite and non-negative$"
+    with pytest.raises(InvalidParameterError, match=match):
+        pg.pv_propagator(spec(), (0.0, 0.0, 0.0, 0.0), (0.1, 0.5, 0.0, 0.0), cell_dt)
+    with pytest.raises(InvalidParameterError, match=match):
+        pg.pv_kernel_matrix(pg.PropagatorSpec(1.0, 10.0), [0.05, 0.15], np.zeros((1, 3)),
+                            cell_dt=cell_dt)
+
+
 def test_vacuum_propagator_hermitian_and_translation_invariant():
     s = spec()
     rng = np.random.default_rng(2)

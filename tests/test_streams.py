@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collapsemc.streams import stream
+from collapsemc.streams import normal_rows, stream
 
 
 @pytest.mark.parametrize("seed, index", [(2 ** 64, 0), (2 ** 64 + 7, 0), (0, 2 ** 64),
@@ -9,6 +9,10 @@ from collapsemc.streams import stream
 def test_stream_rejects_values_outside_64_bits(seed, index):
     with pytest.raises(ValueError):
         stream(seed, index)
+    with pytest.raises(ValueError):
+        normal_rows(seed, [0, index], (2, 3))
+    with pytest.raises(ValueError):
+        normal_rows(seed, [index], (2, 3))
 
 
 def test_stream_key_is_seed_low_and_index_high():
@@ -17,3 +21,20 @@ def test_stream_key_is_seed_low_and_index_high():
         expected = np.random.Generator(np.random.Philox(key=seed | index << 64))
         np.testing.assert_array_equal(stream(seed, index).standard_normal(4),
                                       expected.standard_normal(4))
+
+
+@pytest.mark.parametrize("seed", [0, 16, 2 ** 64 - 1])
+@pytest.mark.parametrize("shape", [(5,), (1, 64), (2, 1, 7), (40, 3)])
+def test_normal_rows_equal_per_index_streams(seed, shape):
+    """Unordered and repeated indices, including the largest, each row from
+    its own stream; the shared generator carries nothing between rows."""
+    indices = [9, 3, 9, 0, 2 ** 64 - 1, 4, 3]
+    expected = np.array([stream(seed, i).standard_normal(shape) for i in indices])
+    assert np.array_equal(normal_rows(seed, indices, shape), expected)
+    assert np.array_equal(normal_rows(seed, np.array(indices[:4]), shape), expected[:4])
+
+
+def test_normal_rows_of_no_index_is_empty():
+    assert normal_rows(3, [], (2, 4)).shape == (0, 2, 4)
+    with pytest.raises(ValueError):
+        normal_rows(2 ** 64, [], (2, 4))
