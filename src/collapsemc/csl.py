@@ -14,6 +14,14 @@ per row). Ensembles, single trajectories and the public one-step functions
 in one basis. Ensembles run in-process and draw per-trajectory noise from
 counter-based streams keyed by (master seed, trajectory index), so results
 are bit-identical for any batch size.
+
+An ensemble steps chunks of whole jackknife blocks (up to CHUNK_ROWS
+trajectories) as one batch, and sums ρ over each block's rows. Its noise
+comes in time slabs of about SLAB_ELEMENTS numbers from one live stream per
+trajectory (`streams.NormalSlabs`), re-keyed for each chunk, so a
+trajectory's slabs are its full-horizon draw. Per-row arithmetic does not
+depend on the batch (`_row_sums` adds short rows in numpy's own order), so
+results do not depend on the chunk or slab size.
 """
 
 from __future__ import annotations
@@ -27,17 +35,21 @@ from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
 from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
                       diagonal_ops, diagonals, smearing)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
-from .streams import normal_rows
+from .streams import NormalSlabs, normal_rows
 
 NORM_TOL = 1e-8
 DT_STABILITY_TARGET = 1e-2
 COLLAPSE_THRESHOLD = 0.99       # top population marking a resolved collapse
-TRAJ_BATCH = 512                # trajectories stepped together in one block
+CHUNK_ROWS = 1000               # trajectories stepped together: whole blocks
+SLAB_ELEMENTS = 1 << 18         # noise numbers drawn per slab: rows × steps × sites
+
+
+def _noise_scale(grid: LatticeGrid) -> float:
+    return 1.0 / np.sqrt(grid.time_step * grid.volume_element)
 
 
 def _noise_batch(grid: LatticeGrid, master_seed: int, indices) -> np.ndarray:
-    scale = 1.0 / np.sqrt(grid.time_step * grid.volume_element)
-    return normal_rows(master_seed, indices, (grid.n_steps, grid.n_sites)) * scale
+    return normal_rows(master_seed, indices, (grid.n_steps, grid.n_sites)) * _noise_scale(grid)
 
 
 @dataclass
@@ -103,13 +115,28 @@ def _linear_update(states, w, mdiag, m2sum, coef_noise, coef_drift):
     return states + (noise - coef_drift * m2sum[None, :]) * states
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=1, keepdims=True)` of a 2-D array, bit for bit.
+
+    numpy adds fewer than 8 columns in order and more pairwise; the first
+    case is done here column by column, a few whole-column adds in place
+    of a reduction over every short row.
+    """
+    if x.shape[1] >= 8:
+        return x.sum(axis=1, keepdims=True)
+    out = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        out += x[:, j:j + 1]
+    return out
+
+
 def _normalized_update(states, w, mdiag, m2sum, coef_noise, coef_drift):
     probs = np.abs(states) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= _row_sums(probs)
     exp_m = probs @ mdiag.T                       # <M_x> per trajectory
-    lin = (w @ mdiag) - (w * exp_m).sum(axis=1, keepdims=True)
+    lin = (w @ mdiag) - _row_sums(w * exp_m)
     cross = exp_m @ mdiag                         # Σ_x M_x <M_x>
-    quad = m2sum[None, :] - 2.0 * cross + (exp_m ** 2).sum(axis=1, keepdims=True)
+    quad = m2sum[None, :] - 2.0 * cross + _row_sums(exp_m ** 2)
     return states + (coef_noise * lin - coef_drift * quad) * states
 
 
@@ -224,11 +251,22 @@ class CslScenario:
     record_stride: int = 10
 
     def __post_init__(self):
-        self.psi0 = np.asarray(self.psi0, dtype=complex)
-        self.psi0 = self.psi0 / np.linalg.norm(self.psi0)
-        if diagonals(self.mass_ops) is None:
+        mdiag = diagonals(self.mass_ops)
+        if mdiag is None:
             raise InvalidParameterError(
                 "ensemble engine requires collapse operators diagonal in one basis")
+        psi0 = np.asarray(self.psi0, dtype=complex)
+        if psi0.shape != (mdiag.shape[1],):
+            raise InvalidParameterError(
+                f"psi0 must be a vector of the operator dimension {mdiag.shape[1]}")
+        if not np.all(np.isfinite(psi0)):
+            raise InvalidParameterError("psi0 must be finite")
+        norm = np.linalg.norm(psi0)
+        if norm == 0.0:
+            raise InvalidParameterError("psi0 must have non-zero norm")
+        self.psi0 = psi0 / norm
+        if self.record_stride < 1:
+            raise InvalidParameterError("record_stride must be at least 1")
 
     def record_steps(self) -> np.ndarray:
         steps = np.arange(0, self.grid.n_steps + 1, self.record_stride)
@@ -263,71 +301,83 @@ class EnsembleStats:
                                         self.block_counts, target)
 
 
-def _run_range(scenario: CslScenario, master_seed: int, start: int, count: int,
-               normalized: bool, probe_sites):
+def _chunk_starts(edges: np.ndarray) -> list:
+    """Block indices at which chunks start, then the block count: chunks are
+    consecutive whole blocks of at most CHUNK_ROWS rows, or one larger block."""
+    starts = [0]
+    for b in range(1, len(edges) - 1):
+        if edges[b + 1] - edges[starts[-1]] > CHUNK_ROWS:
+            starts.append(b)
+    return starts + [len(edges) - 1]
+
+
+def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
+                  normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
+    if n_traj < 1:
+        raise InvalidParameterError("n_traj must be at least 1")
     grid = scenario.grid
     operands = _step_operands(scenario.mass_ops, scenario.params, grid.time_step,
                               scenario.h0, grid.volume_element)
-    mdiag = operands[1]
+    probe_diag = operands[1][list(probe_sites)].T
     rec_steps = scenario.record_steps()
     rec_lookup = {int(s): i for i, s in enumerate(rec_steps)}
     dim = len(scenario.psi0)
+    edges = block_edges(n_traj, n_blocks)
+    chunks = _chunk_starts(edges)
 
-    rho_rec = np.zeros((len(rec_steps), dim, dim), dtype=complex)
-    weights = np.empty(count)
-    probes = np.zeros((count, len(rec_steps), len(probe_sites)))
-    collapse_sites = np.full(count, -1, dtype=int)
+    rho_blocks = np.zeros((len(edges) - 1, len(rec_steps), dim, dim), dtype=complex)
+    weights = np.ones(n_traj)
+    probes = np.zeros((n_traj, len(rec_steps), len(probe_sites)))
+    collapse_sites = np.full(n_traj, -1, dtype=int)
     max_drift = 0.0
 
-    for lo in range(0, count, TRAJ_BATCH):
-        hi = min(lo + TRAJ_BATCH, count)
-        idx = np.arange(start + lo, start + hi)
-        noise = _noise_batch(grid, master_seed, idx)
+    rows = int(np.diff(edges[chunks]).max())
+    slab_steps = min(grid.n_steps, max(1, SLAB_ELEMENTS // (rows * grid.n_sites)))
+    slab = np.empty((rows, slab_steps, grid.n_sites))
+    streams = NormalSlabs(rows)
+    scale = _noise_scale(grid)
+
+    for first, stop in zip(chunks[:-1], chunks[1:]):
+        lo, hi = edges[first], edges[stop]
+        blocks = [(b, edges[b] - lo, edges[b + 1] - lo) for b in range(first, stop)]
+        streams.start(master_seed, range(lo, hi))
         states = np.tile(scenario.psi0, (hi - lo, 1))
 
         def record(step):
             ri = rec_lookup.get(step)
             if ri is None:
                 return
-            rho_rec[ri] += np.einsum("na,nb->ab", states, states.conj())
+            for b, b_lo, b_hi in blocks:
+                part = states[b_lo:b_hi]
+                rho_blocks[b, ri] += np.einsum("na,nb->ab", part, part.conj())
             if len(probe_sites):
                 p = np.abs(states) ** 2
-                p = p / p.sum(axis=1, keepdims=True)
-                probes[lo:hi, ri, :] = p @ mdiag[list(probe_sites)].T
+                probes[lo:hi, ri, :] = (p / _row_sums(p)) @ probe_diag
 
         record(0)
         for k in range(grid.n_steps):
-            states, drift = _step(states, noise[:, k, :], operands, normalized)
+            j = k % slab_steps
+            if j == 0:
+                noise = streams.fill(slab[:hi - lo, :min(slab_steps, grid.n_steps - k)])
+                noise *= scale
+            states, drift = _step(states, noise[:, j], operands, normalized)
             max_drift = max(max_drift, drift)
             record(k + 1)
         check_finite(states, "non-finite amplitudes", grid.n_steps)
         if normalized:
-            weights[lo:hi] = 1.0
             pops = np.abs(states) ** 2
-            top = pops.argmax(axis=1)
             collapsed = pops.max(axis=1) > COLLAPSE_THRESHOLD
-            collapse_sites[lo:hi] = np.where(collapsed, top, -1)
+            collapse_sites[lo:hi] = np.where(collapsed, pops.argmax(axis=1), -1)
         else:
             weights[lo:hi] = np.einsum("na,na->n", states.conj(), states).real
-    return rho_rec, weights, probes, collapse_sites, max_drift
-
-
-def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
-                  normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
-    edges = block_edges(n_traj, n_blocks)
-    # assembled after every block has run: filling the full-size arrays while
-    # noise batches are live raised peak RSS by ~0.5 MB on default born_rule
-    results = [_run_range(scenario, master_seed, lo, hi - lo, normalized, probe_sites)
-               for lo, hi in zip(edges[:-1], edges[1:])]
-    rho_blocks, weights, probes, collapse_sites, drifts = zip(*results)
     return EnsembleStats(
-        record_times=scenario.record_steps() * scenario.grid.time_step,
-        rho_block_totals=np.stack(rho_blocks),
+        record_times=rec_steps * grid.time_step,
+        rho_block_totals=rho_blocks,
         block_counts=np.diff(edges),
-        weights=np.concatenate(weights),
-        probe_values=np.concatenate(probes),
-        collapse_sites=np.concatenate(collapse_sites) if normalized else None,
-        max_norm_drift=max(drifts))
+        weights=weights,
+        probe_values=probes,
+        collapse_sites=collapse_sites if normalized else None,
+        max_norm_drift=max_drift)
 
 
 def run_linear_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,

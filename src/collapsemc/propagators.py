@@ -465,10 +465,10 @@ def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray
 
 def g_infinity(spec: PropagatorSpec, r: float, mass: float) -> float:
     """Infinite-horizon double-time integral 2·K₀(m r)/(2π)²."""
-    if r <= 0.0:
-        raise InvalidParameterError("g_infinity requires r > 0")
-    if mass <= 0.0:
-        raise InvalidParameterError("mass must be positive")
+    if not 0.0 < r < math.inf:
+        raise InvalidParameterError("r must be positive and finite")
+    if not 0.0 < mass < math.inf:
+        raise InvalidParameterError("mass must be positive and finite")
     return 2.0 * bessel_k0(mass * r) / FOUR_PI_SQ
 
 
@@ -480,8 +480,10 @@ def g_t_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> float:
 
     Memoized: a pure function of a frozen spec and two floats.
     """
-    if horizon <= 0.0:
-        raise InvalidParameterError("horizon must be positive")
+    if not math.isfinite(r):
+        raise InvalidParameterError("r must be finite")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParameterError("horizon must be positive and finite")
     if horizon <= r:
         return _g_t_direct(spec, r, horizon)
     return _g_t_tail(spec, r, horizon)
@@ -493,8 +495,8 @@ def omega_infinity(spec: PropagatorSpec, r: float) -> float:
     Ω_∞(r) = (g²/(2π)²)·(K₀(m_b r) − K₀(Λ r) − ln(Λ/m_b)); non-positive,
     tends to 0 as r → 0⁺ and to the plateau −(g²/(2π)²) ln(Λ/m_b) at large r.
     """
-    if r <= 0.0:
-        raise InvalidParameterError("omega_infinity requires r > 0")
+    if not 0.0 < r < math.inf:
+        raise InvalidParameterError("r must be positive and finite")
     g = spec.coupling
     mb, lam = spec.boson_mass, spec.cutoff
     val = (g * g / FOUR_PI_SQ) * (bessel_k0(mb * r) - bessel_k0(lam * r)
@@ -512,10 +514,10 @@ def omega_from_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> flo
 
     Converges to omega_infinity(r) as the horizon grows; g = 0 gives 0.
     """
-    if r <= 0.0:
-        raise InvalidParameterError("omega_from_quadrature requires r > 0")
-    if horizon <= 0.0:
-        raise InvalidParameterError("horizon must be positive")
+    if not 0.0 < r < math.inf:
+        raise InvalidParameterError("r must be positive and finite")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParameterError("horizon must be positive and finite")
     g = spec.coupling
     if g == 0.0:
         return 0.0

@@ -9,6 +9,7 @@ from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
                                 LatticeOperator, QuantumState, diagonals, evolve_lindblad,
                                 hopping_hamiltonian, mass_density_diagonals,
                                 point_mass_ops, trace_distance)
+from collapsemc.mcstats import block_edges
 from collapsemc.streams import stream
 
 
@@ -353,6 +354,139 @@ def test_ensemble_independent_of_blocking():
     s2 = csl.run_linear_ensemble(scen, 300, master_seed=16, n_blocks=50)
     np.testing.assert_allclose(s1.rho_mean(), s2.rho_mean(), atol=1e-13)
     np.testing.assert_array_equal(s1.weights, s2.weights)
+
+
+def line_scenario(n_sites, hop=0.0, n_steps=23):
+    """Unequal amplitudes on a line: with three or more sites the in-order
+    and pairwise row sums differ, so a wrong summation order shows."""
+    grid = LatticeGrid.line(n_sites, 1.0, 0.02, n_steps)
+    params = CslParams(gamma=0.3, sigma=1.0, masses=(1.0,))
+    h0 = hopping_hamiltonian(grid, hop) if hop else None
+    psi0 = np.sqrt(np.arange(1.0, n_sites + 1.0)) * np.exp(0.4j * np.arange(n_sites))
+    return csl.CslScenario(grid=grid, params=params, mass_ops=point_mass_ops(grid, 1.0),
+                           psi0=psi0, h0=h0, record_stride=5)
+
+
+def numpy_row_sums(x):
+    return x.sum(axis=1, keepdims=True)
+
+
+def per_block_reference(scenario, n_traj, master_seed, normalized, probe_sites, n_blocks):
+    """The ensemble loop before chunking: each jackknife block on its own, in
+    batches of at most 512 rows, with its full-horizon noise drawn at once."""
+    grid = scenario.grid
+    operands = csl._step_operands(scenario.mass_ops, scenario.params, grid.time_step,
+                                  scenario.h0, grid.volume_element)
+    probe_diag = operands[1][list(probe_sites)].T
+    rec_lookup = {int(s): i for i, s in enumerate(scenario.record_steps())}
+    dim = len(scenario.psi0)
+    edges = block_edges(n_traj, n_blocks)
+    rho = np.zeros((len(edges) - 1, len(rec_lookup), dim, dim), dtype=complex)
+    weights = np.ones(n_traj)
+    probes = np.zeros((n_traj, len(rec_lookup), len(probe_sites)))
+    sites = np.full(n_traj, -1)
+    max_drift = 0.0
+    for b in range(len(edges) - 1):
+        for lo in range(edges[b], edges[b + 1], 512):
+            hi = min(lo + 512, edges[b + 1])
+            noise = csl._noise_batch(grid, master_seed, np.arange(lo, hi))
+            states = np.tile(scenario.psi0, (hi - lo, 1))
+            for k in range(grid.n_steps + 1):
+                if k:
+                    states, drift = csl._step(states, noise[:, k - 1, :], operands,
+                                              normalized)
+                    max_drift = max(max_drift, drift)
+                ri = rec_lookup.get(k)
+                if ri is not None:
+                    rho[b, ri] += np.einsum("na,nb->ab", states, states.conj())
+                    p = np.abs(states) ** 2
+                    probes[lo:hi, ri, :] = (p / p.sum(axis=1, keepdims=True)) @ probe_diag
+            pops = np.abs(states) ** 2
+            if normalized:
+                sites[lo:hi] = np.where(pops.max(axis=1) > csl.COLLAPSE_THRESHOLD,
+                                        pops.argmax(axis=1), -1)
+            else:
+                weights[lo:hi] = np.einsum("na,na->n", states.conj(), states).real
+    return rho, weights, probes, sites if normalized else None, max_drift
+
+
+def assert_ensemble_equals_reference(monkeypatch, scenario, n_traj, normalized, n_blocks,
+                                     chunk_rows, slab_elements):
+    probe_sites = (0, scenario.grid.n_sites - 1)
+    with monkeypatch.context() as m:
+        m.setattr(csl, "_row_sums", numpy_row_sums)
+        expected = per_block_reference(scenario, n_traj, 21, normalized, probe_sites,
+                                       n_blocks)
+    monkeypatch.setattr(csl, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(csl, "SLAB_ELEMENTS", slab_elements)
+    stats = csl._run_ensemble(scenario, n_traj, 21, normalized, probe_sites, n_blocks)
+    measured = (stats.rho_block_totals, stats.weights, stats.probe_values,
+                stats.collapse_sites, stats.max_norm_drift)
+    for name, got, want in zip(("rho_block_totals", "weights", "probe_values",
+                                "collapse_sites", "max_norm_drift"), measured, expected):
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("slab_elements", [1, 50, 1 << 18])
+@pytest.mark.parametrize("chunk_rows, n_blocks", [
+    (3, 50),            # one block per chunk (blocks of 2 or 3 rows)
+    (7, 50),            # several blocks, 131 rows not a multiple of the chunk
+    (10 ** 6, 50),      # every block in one chunk
+    (20, 4),            # blocks of 32 or 33 rows, each larger than the chunk
+])
+@pytest.mark.parametrize("hop", [0.0, 0.3])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_chunked_ensemble_equals_per_block_loop(monkeypatch, normalized, hop, chunk_rows,
+                                                n_blocks, slab_elements):
+    """Chunks of whole blocks with slab noise give the per-block run bit for
+    bit. A 50-number slab is 2 steps of a 7-row, 3-site chunk, so the 23
+    steps split unevenly; 1 gives one-step slabs."""
+    assert_ensemble_equals_reference(monkeypatch, line_scenario(3, hop), 131, normalized,
+                                     n_blocks, chunk_rows, slab_elements)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_chunked_ensemble_equals_per_block_loop_on_nine_sites(monkeypatch, normalized):
+    """Nine sites and nine states: every row sum takes numpy's pairwise path."""
+    assert_ensemble_equals_reference(monkeypatch, line_scenario(9, 0.3), 61, normalized,
+                                     10, 13, 300)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 5, 64, 1000])
+def test_row_sums_equal_numpy_sum(n_rows):
+    rng = np.random.default_rng(n_rows)
+    for n_cols in range(1, 21):
+        x = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-15, 16, (n_rows, n_cols))
+        assert np.array_equal(csl._row_sums(x), x.sum(axis=1, keepdims=True)), n_cols
+
+
+@pytest.mark.parametrize("psi0, match", [
+    ([0.0, 0.0], "^psi0 must have non-zero norm$"),
+    ([np.nan, 1.0], "^psi0 must be finite$"),
+    ([np.inf, 1.0], "^psi0 must be finite$"),
+    ([1.0, 0.0, 0.0], "^psi0 must be a vector of the operator dimension 2$"),
+    ([[1.0, 0.0]], "^psi0 must be a vector of the operator dimension 2$"),
+])
+def test_scenario_rejects_bad_psi0(psi0, match):
+    scen = two_site()
+    with pytest.raises(InvalidParameterError, match=match):
+        csl.CslScenario(grid=scen.grid, params=scen.params, mass_ops=scen.mass_ops,
+                        psi0=np.array(psi0))
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_scenario_rejects_record_stride_below_one(stride):
+    scen = two_site()
+    with pytest.raises(InvalidParameterError, match="^record_stride must be at least 1$"):
+        csl.CslScenario(grid=scen.grid, params=scen.params, mass_ops=scen.mass_ops,
+                        psi0=scen.psi0, record_stride=stride)
+
+
+@pytest.mark.parametrize("run", [csl.run_linear_ensemble, csl.run_normalized_ensemble])
+@pytest.mark.parametrize("n_traj", [0, -4])
+def test_ensembles_reject_n_traj_below_one(run, n_traj):
+    with pytest.raises(InvalidParameterError, match="^n_traj must be at least 1$"):
+        run(two_site(), n_traj, master_seed=3)
 
 
 def test_emit_trajectory_rows():

@@ -106,6 +106,42 @@ def test_pv_paths_reject_bad_cell_dt(cell_dt):
                             cell_dt=cell_dt)
 
 
+@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf),
+                                          ("mass", np.nan), ("mass", np.inf)])
+def test_g_infinity_rejects_non_finite(field, value):
+    """NaN and inf are refused by name, not returned as NaN or 0."""
+    kw = {"r": 1.0, "mass": 1.0, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be positive and finite$"):
+        pg.g_infinity(spec(), **kw)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_omega_infinity_rejects_non_finite_r(r):
+    """A NaN r no longer gives NaN, nor an infinite one the plateau."""
+    with pytest.raises(InvalidParameterError, match="^r must be positive and finite$"):
+        pg.omega_infinity(spec(), r)
+
+
+@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf),
+                                          ("horizon", np.nan), ("horizon", np.inf)])
+def test_omega_from_quadrature_rejects_non_finite(field, value):
+    """Refused by name before the G_T evaluators, which raised an untyped
+    ValueError (math domain error, NaN to integer)."""
+    kw = {"r": 1.0, "horizon": 5.0, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be positive and finite$"):
+        pg.omega_from_quadrature(spec(), **kw)
+
+
+@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf),
+                                          ("horizon", np.nan), ("horizon", np.inf)])
+def test_g_t_quadrature_rejects_non_finite(field, value):
+    """G_T accepts r = 0 (it is G_T(0)), so only a non-finite r is refused."""
+    kw = {"r": 1.0, "horizon": 5.0, field: value}
+    match = "^r must be finite$" if field == "r" else "^horizon must be positive and finite$"
+    with pytest.raises(InvalidParameterError, match=match):
+        pg.g_t_quadrature(spec(), **kw)
+
+
 def test_vacuum_propagator_hermitian_and_translation_invariant():
     s = spec()
     rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collapsemc.streams import normal_rows, stream
+from collapsemc.streams import NormalSlabs, normal_rows, stream
 
 
 @pytest.mark.parametrize("seed, index", [(2 ** 64, 0), (2 ** 64 + 7, 0), (0, 2 ** 64),
@@ -38,3 +38,32 @@ def test_normal_rows_of_no_index_is_empty():
     assert normal_rows(3, [], (2, 4)).shape == (0, 2, 4)
     with pytest.raises(ValueError):
         normal_rows(2 ** 64, [], (2, 4))
+
+
+@pytest.mark.parametrize("slab_steps", [1, 3, 7, 16, 40])
+def test_normal_slabs_concatenate_to_normal_rows(slab_steps):
+    """Slabs cut from one buffer, as the CSL ensemble does, split 17 steps
+    unevenly; concatenated along time they are the rows of `normal_rows`.
+    Re-keying restarts every stream, whatever was drawn before."""
+    seed, n_steps, n_sites = 5, 17, 3
+    indices = [4, 0, 2 ** 64 - 1, 9]
+    slabs = NormalSlabs(6)
+    buffer = np.empty((6, slab_steps, n_sites))
+    slabs.start(seed + 1, range(6))
+    slabs.fill(buffer)
+    slabs.start(seed, indices)
+    parts = [slabs.fill(buffer[:len(indices), :min(slab_steps, n_steps - k)]).copy()
+             for k in range(0, n_steps, slab_steps)]
+    expected = normal_rows(seed, indices, (n_steps, n_sites))
+    assert np.array_equal(np.concatenate(parts, axis=1), expected)
+
+
+def test_normal_slabs_refuse_more_streams_than_built():
+    slabs = NormalSlabs(2)
+    with pytest.raises(ValueError):
+        slabs.start(0, [0, 1, 2])
+    with pytest.raises(ValueError):
+        slabs.start(2 ** 64, [0])
+    slabs.start(0, [0, 1])
+    with pytest.raises(ValueError):
+        slabs.fill(np.empty((1, 4)))
