@@ -19,6 +19,7 @@ N-particle cat state) only choose the sites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ def _point_phase(spec: pg.PropagatorSpec, left: np.ndarray, right: np.ndarray,
     """
     if relation not in ("zero", "covariance"):
         raise InvalidParameterError(f"unknown relation mode {relation!r}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise InvalidParameterError("n_steps must be an integer >= 1")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParameterError("horizon must be positive and finite")
     points = np.vstack([left, right])
     dt = horizon / n_steps
     times = (np.arange(n_steps) + 0.5) * dt
@@ -103,8 +108,8 @@ def build_two_point_phase(spec: pg.PropagatorSpec, r: float, horizon: float,
                           n_steps: int, relation: str = "zero"):
     """Influence phase for a single particle on two sites separated by r;
     returns (phase, factor)."""
-    if r <= 0.0 or horizon <= 0.0:
-        raise InvalidParameterError("require r > 0 and horizon > 0")
+    if not 0.0 < r < math.inf:
+        raise InvalidParameterError("r must be positive and finite")
     return _point_phase(spec, np.array([[0.0, 0.0, 0.0]]), np.array([[r, 0.0, 0.0]]),
                         horizon, n_steps, relation)
 

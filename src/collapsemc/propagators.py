@@ -2,9 +2,11 @@
 
 The regulated two-point kernel is the Pauli-Villars pair D = D^{m_b} − D^Λ.
 
-Every report path works in position space. With s = √|r² − τ²|, the free
-massive Wightman function is closed form (Bogoliubov & Shirkov 1959,
-appendix on singular functions; DLMF ch. 10):
+Every evaluator works in position space, with no momentum cutoff; the
+sharp-cutoff momentum integrals whose limit they are serve as an oracle in
+tests/test_propagators.py. With s = √|r² − τ²|, the free massive Wightman
+function is closed form (Bogoliubov & Shirkov 1959, appendix on singular
+functions; DLMF ch. 10):
 
   Re D^m = m·K₁(ms)/(4π²s) spacelike,  m·Y₁(ms)/(8πs) timelike,
   Im D^m = sgn(τ)·m·J₁(ms)/(8πs) timelike, 0 spacelike
@@ -38,18 +40,6 @@ when r = 0), and those points are panel ends.
   split at ±r and 0. Each evaluator checks itself: the tanh-sinh sums at
   steps h and 2h (or the tail extrapolated from fewer half-periods) must
   agree within _POSITION_RTOL, or `_refined` raises QuadratureFailureError.
-
-Momentum space serves only `vacuum_propagator` and `pv_propagator` at
-`cell_dt = 0`, whose sharp cutoff is part of their contract (single-mass
-propagators are only conditionally convergent). `_momentum_integral` is
-the signed sum over masses of ang·term(ω), ang = p²·j₀(pr)/(2π²) from the
-angular integration, term the caller's time dependence, on one grid rule:
-pmax = momentum_cutoff_multiplier·max(heaviest mass, 1/cell_dt), the
-1/cell_dt term only when cell_dt > 0; panels resolve the scale r + span +
-cell_dt + 2/(lightest mass), span being the largest |time| in the term,
-with at least _MIN_PANELS panels. `_radial_integral` is one serial pass
-over two grids: the integrand at every node of n panels, then of 2n,
-each contracted with its weights in one dot product.
 """
 
 from __future__ import annotations
@@ -64,11 +54,7 @@ from scipy.special import j1 as _j1, k0 as _scipy_k0, k1 as _scipy_k1, psi as _p
 
 from .errors import InvalidParameterError, QuadratureFailureError
 
-TWO_PI_SQ = 2.0 * np.pi ** 2      # (2π)³ / (4π)
 FOUR_PI_SQ = (2.0 * np.pi) ** 2
-_GAUSS_ORDER = 8                  # Gauss-Legendre nodes per panel
-_MIN_PANELS = 32                  # fewest panels of a momentum grid (256 nodes)
-_RADIAL_RTOL = 1e-6               # allowed relative change on panel doubling
 _POSITION_RTOL = 1e-9             # allowed relative change, coarse vs fine rule
 _TS_STEP = 1.0 / 32               # tanh-sinh step on [−1, 1]
 _TS_EDGE = 1e-20                  # nodes stop this close to a panel end, relative
@@ -81,29 +67,24 @@ _TAIL_GAUSS_ORDER = 24            # Gauss-Legendre nodes per half-period
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """Boson mass, PV cutoff, coupling and momentum cutoff multiplier.
+    """Boson mass, PV cutoff and coupling; every field must be finite.
 
-    `momentum_cutoff_multiplier` governs only the momentum paths,
-    `vacuum_propagator` and `pv_propagator` at cell_dt = 0; the
-    position-space evaluators behind every report path have no cutoff.
-    Every field must be finite.
+    Every evaluator is position-space, so there is no momentum cutoff; the
+    momentum-cutoff oracle lives in tests/test_propagators.py.
     """
 
     boson_mass: float
     cutoff: float
     coupling: float = 1.0
-    momentum_cutoff_multiplier: float = 50.0
 
     def __post_init__(self):
-        for name in ("boson_mass", "cutoff", "coupling", "momentum_cutoff_multiplier"):
+        for name in ("boson_mass", "cutoff", "coupling"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite")
         if not (self.cutoff > self.boson_mass > 0.0):
             raise InvalidParameterError("require cutoff > boson_mass > 0")
         if self.coupling < 0.0:
             raise InvalidParameterError("coupling must be non-negative")
-        if self.momentum_cutoff_multiplier <= 0.0:
-            raise InvalidParameterError("momentum_cutoff_multiplier must be positive")
 
 
 def bessel_k0(x: float) -> float:
@@ -120,33 +101,6 @@ def bessel_k1(x: float) -> float:
     return float(_scipy_k1(x))
 
 
-def _panel_nodes(pmax: float, n_panels: int):
-    """Composite Gauss-Legendre nodes/weights on [0, pmax]."""
-    xg, wg = leggauss(_GAUSS_ORDER)
-    edges = np.linspace(0.0, pmax, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    p = (mid[:, None] + half * xg[None, :]).ravel()
-    w = np.broadcast_to(half * wg[None, :], (n_panels, len(wg))).ravel()
-    return p, w
-
-
-def _radial_integral(integrand, pmax: float, osc_scale: float,
-                     what: str = "integral"):
-    """Integrate `integrand(p)` on [0, pmax] with oscillation-aware panels.
-
-    Runs once and once more at doubled panel count; a relative disagreement
-    above _RADIAL_RTOL raises QuadratureFailureError. `integrand` may return a
-    stacked array whose last axis runs over p.
-    """
-    n_panels = max(_MIN_PANELS, 2 * int(np.ceil(pmax * max(osc_scale, 1e-12) / np.pi)))
-    results = []
-    for panels in (n_panels, 2 * n_panels):
-        p, w = _panel_nodes(pmax, panels)
-        results.append(np.asarray(integrand(p)) @ w)
-    return _refined(*results, _RADIAL_RTOL, what)
-
-
 def _refined(coarse, fine, rtol: float, what: str):
     """`fine`, unless it differs from `coarse` by more than rtol·max|fine|."""
     scale = max(np.max(np.abs(fine)), 1e-300)
@@ -155,33 +109,6 @@ def _refined(coarse, fine, rtol: float, what: str):
             f"{what}: refinement changed result beyond rtol={rtol}",
             estimates=(coarse, fine))
     return fine
-
-
-def _j0(z: np.ndarray) -> np.ndarray:
-    return np.sinc(z / np.pi)
-
-
-def _momentum_integral(spec: PropagatorSpec, term, r: float, span: float,
-                       what: str, cell_dt: float = 0.0, masses=None):
-    """∫ dp Σ sign·term(ang, ω) over the signed `masses` (by default the PV
-    pair (m_b, +1), (Λ, −1)), on the grid rule of the module docstring;
-    `span` is the largest |time| in `term`."""
-    if masses is None:
-        masses = ((spec.boson_mass, 1.0), (spec.cutoff, -1.0))
-    heaviest = max(m for m, _ in masses)
-    pmax = spec.momentum_cutoff_multiplier * (max(heaviest, 1.0 / cell_dt)
-                                              if cell_dt > 0.0 else heaviest)
-    # panels must also resolve the dispersion turnover at p ~ mass
-    osc = r + span + cell_dt + 2.0 / min(m for m, _ in masses)
-
-    def integrand(p):
-        ang = p * p * _j0(p * r) / TWO_PI_SQ
-        out = 0.0
-        for mass, sign in masses:
-            out += sign * term(ang, np.sqrt(p * p + mass * mass))
-        return out
-
-    return _radial_integral(integrand, pmax, osc_scale=osc, what=what)
 
 
 # ------------------------------------------------------------ position space
@@ -299,6 +226,8 @@ def _panel_sums(spec: PropagatorSpec, lo: np.ndarray, hi: np.ndarray, r: float,
 
 def _cell_averaged(spec: PropagatorSpec, lags, r: float, cell_dt: float) -> np.ndarray:
     """K(Δ, r) = ∫ (dt − |u|)/dt²·D_PV(Δ + u, r) du at every lag Δ, one pass."""
+    if not 0.0 < cell_dt < math.inf:
+        raise InvalidParameterError("cell_dt must be positive and finite")
     lags = np.asarray(lags, dtype=float)
     lo, hi, owner = [], [], []
     for k, lag in enumerate(lags):
@@ -372,78 +301,31 @@ def _g_t_tail(spec: PropagatorSpec, r: float, horizon: float) -> float:
     return float(_refined(coarse, fine, _POSITION_RTOL, "g_t_quadrature"))
 
 
-def _lag_and_separation(x, y):
-    """(Δt, |Δx|) between two events (t, 3-vector)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return x[0] - y[0], float(np.linalg.norm(x[1:] - y[1:]))
-
-
-def vacuum_propagator(spec: PropagatorSpec, x, y, mass: float) -> complex:
-    """Single-mass propagator D^m(x,y) at the configured momentum cutoff.
-
-    x and y are events (t, 3-vector). The momentum integral
-    ∫ d³p e^{−iω Δt + ip·Δx} / (2(2π)³ ω) is reduced to a radial quadrature
-    after the angular integration; the sharp cutoff is part of the contract.
-    """
-    if not 0.0 < mass < math.inf:
-        raise InvalidParameterError("mass must be positive and finite")
-    dt, r = _lag_and_separation(x, y)
-    return complex(_momentum_integral(
-        spec, lambda ang, om: ang * np.exp(-1j * om * dt) / (2.0 * om),
-        r, abs(dt), "vacuum_propagator", masses=((mass, 1.0),)))
-
-
-def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float = 0.0) -> complex:
-    """PV-regularized propagator D^{m_b}(x,y) − D^Λ(x,y).
-
-    With cell_dt > 0 it is averaged over time cells, in position space
-    (module docstring), and Δt is read as a midpoint difference; with
-    cell_dt = 0 it is the momentum integral at the configured cutoff.
-    """
-    dt, r = _lag_and_separation(x, y)
-    return complex(_pv_values(spec, np.array([dt]), r, cell_dt)[0])
-
-
-def _pv_values(spec: PropagatorSpec, dts: np.ndarray, r: float,
-               cell_dt: float) -> np.ndarray:
-    """PV propagator at one spatial separation for a batch of time lags:
-    cell-averaged in position space when cell_dt > 0, pointwise at the
-    momentum cutoff otherwise."""
-    if not 0.0 <= cell_dt < math.inf:
-        raise InvalidParameterError("cell_dt must be finite and non-negative")
-    if cell_dt > 0.0:
-        return _cell_averaged(spec, dts, r, cell_dt)
-    return _pv_momentum(spec, dts, r, cell_dt)
-
-
-def _pv_momentum(spec: PropagatorSpec, dts: np.ndarray, r: float,
-                 cell_dt: float) -> np.ndarray:
-    """`_pv_values` as a momentum integral. With cell_dt > 0 each mass term
-    carries sinc²(ω·cell_dt/2); no report path takes that branch, which
-    serves as the cutoff-dependent oracle for `_cell_averaged`."""
-
-    def term(ang, om):
-        w = ang / (2.0 * om)
-        if cell_dt > 0.0:
-            w = w * _j0(0.5 * om * cell_dt) ** 2
-        return np.exp(-1j * np.outer(dts, om)) * w[None, :]
-
-    span = float(np.max(np.abs(dts))) if len(dts) else 0.0
-    return _momentum_integral(spec, term, r, span, "pv_propagator", cell_dt)
+def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float) -> complex:
+    """PV-regularized propagator D^{m_b}(x,y) − D^Λ(x,y) between events
+    (t, 3-vector), averaged over time cells of width cell_dt in position
+    space (module docstring); Δt is read as a midpoint difference."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    r = float(np.linalg.norm(x[1:] - y[1:]))
+    return complex(_cell_averaged(spec, np.array([x[0] - y[0]]), r, cell_dt)[0])
 
 
 def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray,
-                     cell_dt: float = 0.0) -> np.ndarray:
+                     cell_dt: float) -> np.ndarray:
     """Spacetime PV kernel over a lattice, time-major point ordering.
 
     times: midpoint time nodes (length n_t); points: (n_x, 3) site
-    coordinates. Entry ((k,i),(l,j)) is D(t_k − t_l, |x_i − x_j|), cell
-    averaged in time when cell_dt is the step size. Hermitian by
+    coordinates. Entry ((k,i),(l,j)) is D(t_k − t_l, |x_i − x_j|), averaged
+    over time cells of width cell_dt, the step size. Hermitian by
     construction (D(−Δt) = D(Δt)*).
     """
     times = np.asarray(times, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
+        raise InvalidParameterError("times must be a non-empty 1-D array of finite values")
+    if (points.ndim != 2 or points.shape[1] != 3 or not len(points)
+            or not np.all(np.isfinite(points))):
+        raise InvalidParameterError("points must be a non-empty (n_x, 3) array of finite values")
     n_t, n_x = len(times), len(points)
     diffs = points[:, None, :] - points[None, :, :]
     rmat = np.linalg.norm(diffs, axis=-1)
@@ -453,7 +335,7 @@ def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray
     # values[ri][k] = D(k·dt, r_unique[ri]) for k >= 0
     vals = np.empty((len(r_unique), n_t), dtype=complex)
     for ri, r in enumerate(r_unique):
-        vals[ri] = _pv_values(spec, dt_pos, float(r), cell_dt)
+        vals[ri] = _cell_averaged(spec, dt_pos, float(r), cell_dt)
 
     # blocks[k, l, i, j] = D(t_k − t_l, r_ij), D(−Δt) = D(Δt)* for k < l
     k, l = np.indices((n_t, n_t))
@@ -480,8 +362,8 @@ def g_t_quadrature(spec: PropagatorSpec, r: float, horizon: float) -> float:
 
     Memoized: a pure function of a frozen spec and two floats.
     """
-    if not math.isfinite(r):
-        raise InvalidParameterError("r must be finite")
+    if not 0.0 <= r < math.inf:
+        raise InvalidParameterError("r must be non-negative and finite")
     if not 0.0 < horizon < math.inf:
         raise InvalidParameterError("horizon must be positive and finite")
     if horizon <= r:

@@ -111,6 +111,25 @@ def test_build_two_point_phase_validation():
                                  relation="bogus")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", 0), ("n_steps", -2), ("n_steps", 2.5), ("n_steps", True),
+    ("r", 0.0), ("r", np.nan), ("r", np.inf),
+    ("horizon", 0.0), ("horizon", np.nan), ("horizon", np.inf),
+])
+def test_point_phase_refuses_bad_field_by_name(field, value):
+    """n_steps = 0, -2 and a NaN r failed untyped, 2.5 built a kernel spanning
+    1.2·T, an infinite horizon failed as a cell_dt error."""
+    kw = {"r": 1.0, "horizon": 1.0, "n_steps": 4, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+        ca.build_two_point_phase(spec(), **kw)
+    if field != "r":
+        geometry = ca.AmplificationGeometry(
+            peak_separation=2.0, intra_spacing=1.0,
+            **{"horizon": 1.0, "n_steps": 4, field: value})
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+            ca._cat_phase(spec(), geometry, 1)
+
+
 # ------------------------------------------------------------ amplification
 
 def test_coherence_exponent_matches_lattice_omega():

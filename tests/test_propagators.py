@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,8 +25,84 @@ def k0_integral_oracle(x: float) -> float:
     return float(np.trapezoid(f, t))
 
 
-def spec(mb=1.0, lam=10.0, g=1.0, **kw):
-    return pg.PropagatorSpec(boson_mass=mb, cutoff=lam, coupling=g, **kw)
+def spec(mb=1.0, lam=10.0, g=1.0):
+    return pg.PropagatorSpec(boson_mass=mb, cutoff=lam, coupling=g)
+
+
+# ---------------------------------------------------------- momentum oracle
+# Sharp-cutoff momentum integrals, the independent oracle for the
+# position-space engine: the signed sum over masses of term(ang, ω),
+# ang = p²·j₀(pr)/(2π²) from the angular integration, on one grid rule.
+# pmax = multiplier·max(heaviest mass, 1/cell_dt), the 1/cell_dt term only
+# when cell_dt > 0; panels resolve r + span + cell_dt + 2/(lightest mass),
+# span being the largest |time| in the term, with at least 32 panels.
+
+def _panel_nodes(pmax, n_panels):
+    """Composite 8-node Gauss-Legendre nodes/weights on [0, pmax]."""
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(0.0, pmax, n_panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    p = (mid[:, None] + half * xg[None, :]).ravel()
+    w = np.broadcast_to(half * wg[None, :], (n_panels, len(wg))).ravel()
+    return p, w
+
+
+def _radial_integral(integrand, pmax, osc_scale, what="integral"):
+    """`integrand(p)` (last axis over p) on [0, pmax], on n panels and on 2n;
+    QuadratureFailureError if they differ by more than 1e-6 relative."""
+    n_panels = max(32, 2 * int(np.ceil(pmax * max(osc_scale, 1e-12) / np.pi)))
+    results = [np.asarray(integrand(p)) @ w
+               for p, w in (_panel_nodes(pmax, n) for n in (n_panels, 2 * n_panels))]
+    return pg._refined(*results, 1e-6, what)
+
+
+def momentum_integral(s, term, r, span, cell_dt=0.0, masses=None, multiplier=50.0):
+    """Σ sign·∫ dp term(ang, ω) over the signed `masses`, by default the PV
+    pair (m_b, +1), (Λ, −1). `_radial_integral` is looked up at call time,
+    so a test can replace it."""
+    masses = masses or ((s.boson_mass, 1.0), (s.cutoff, -1.0))
+    heaviest = max(m for m, _ in masses)
+    pmax = multiplier * (max(heaviest, 1.0 / cell_dt) if cell_dt > 0.0 else heaviest)
+    # panels must also resolve the dispersion turnover at p ~ mass
+    osc = r + span + cell_dt + 2.0 / min(m for m, _ in masses)
+
+    def integrand(p):
+        ang = p * p * np.sinc(p * r / np.pi) / (2.0 * np.pi ** 2)
+        return sum(sign * term(ang, np.sqrt(p * p + mass * mass)) for mass, sign in masses)
+
+    return _radial_integral(integrand, pmax, osc, "momentum oracle")
+
+
+def vacuum_propagator(s, x, y, mass, multiplier=50.0):
+    """Single-mass D^m(x, y) = ∫ d³p e^{−iωΔt + ip·Δx}/(2(2π)³ω) between
+    events x, y = (t, 3-vector)."""
+    if not 0.0 < mass < math.inf:
+        raise InvalidParameterError("mass must be positive and finite")
+    dt, r = x[0] - y[0], float(np.linalg.norm(np.subtract(x[1:], y[1:])))
+    return complex(momentum_integral(
+        s, lambda ang, om: ang * np.exp(-1j * om * dt) / (2.0 * om), r, abs(dt),
+        masses=((mass, 1.0),), multiplier=multiplier))
+
+
+def pv_momentum(s, lags, r, cell_dt=0.0, multiplier=50.0):
+    """PV propagator at separation r and each lag: pointwise at cell_dt = 0,
+    else cell-averaged, each mass term weighted by sinc²(ω·cell_dt/2)."""
+    lags = np.asarray(lags, dtype=float)
+
+    def term(ang, om):
+        w = ang / (2.0 * om) * np.sinc(0.5 * om * cell_dt / np.pi) ** 2
+        return np.exp(-1j * np.outer(lags, om)) * w[None, :]
+
+    return momentum_integral(s, term, r, float(np.max(np.abs(lags))), cell_dt,
+                             multiplier=multiplier)
+
+
+def g_t_momentum(s, r, horizon, multiplier=50.0):
+    """G_T as the momentum integral of (1 - cos(T omega))/omega^3."""
+    return float(momentum_integral(
+        s, lambda ang, om: ang * (1.0 - np.cos(horizon * om)) / om ** 3,
+        r, horizon, multiplier=multiplier))
 
 
 # ------------------------------------------------------------------- bessel
@@ -69,19 +147,15 @@ def test_spec_invariants():
         pg.PropagatorSpec(boson_mass=0.0, cutoff=1.0)
     with pytest.raises(InvalidParameterError):
         pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, coupling=-1.0)
-    with pytest.raises(InvalidParameterError):
-        pg.PropagatorSpec(boson_mass=1.0, cutoff=10.0, momentum_cutoff_multiplier=0.0)
 
 
-@pytest.mark.parametrize("field", ["boson_mass", "cutoff", "coupling",
-                                   "momentum_cutoff_multiplier"])
+@pytest.mark.parametrize("field", ["boson_mass", "cutoff", "coupling"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_spec_rejects_non_finite_fields(field, value):
     """A non-finite field is refused by name; an infinite cutoff or coupling
     would otherwise reach the quadrature (math domain error, overflow) or
     give an infinite or NaN exponent."""
-    kw = {"boson_mass": 1.0, "cutoff": 10.0, "coupling": 1.0,
-          "momentum_cutoff_multiplier": 50.0, field: value}
+    kw = {"boson_mass": 1.0, "cutoff": 10.0, "coupling": 1.0, field: value}
     with pytest.raises(InvalidParameterError, match=f"^{field} must be finite$"):
         pg.PropagatorSpec(**kw)
 
@@ -91,14 +165,15 @@ def test_vacuum_propagator_rejects_bad_mass(mass):
     """An infinite or NaN mass is refused by name, not left to overflow in
     the panel count of the momentum integral."""
     with pytest.raises(InvalidParameterError, match="^mass must be positive and finite$"):
-        pg.vacuum_propagator(spec(), (0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0), mass)
+        vacuum_propagator(spec(), (0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0), mass)
 
 
-@pytest.mark.parametrize("cell_dt", [-0.1, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("cell_dt", [0.0, -0.1, np.inf, -np.inf, np.nan])
 def test_pv_paths_reject_bad_cell_dt(cell_dt):
-    """A negative cell_dt no longer falls through to the pointwise cutoff
-    kernel, and a non-finite one is refused before any integral."""
-    match = "^cell_dt must be finite and non-negative$"
+    """Every path is cell-averaged, so cell_dt = 0 (the old pointwise cutoff
+    kernel) and a negative or non-finite cell_dt are refused before any
+    integral."""
+    match = "^cell_dt must be positive and finite$"
     with pytest.raises(InvalidParameterError, match=match):
         pg.pv_propagator(spec(), (0.0, 0.0, 0.0, 0.0), (0.1, 0.5, 0.0, 0.0), cell_dt)
     with pytest.raises(InvalidParameterError, match=match):
@@ -132,14 +207,29 @@ def test_omega_from_quadrature_rejects_non_finite(field, value):
         pg.omega_from_quadrature(spec(), **kw)
 
 
-@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf),
-                                          ("horizon", np.nan), ("horizon", np.inf)])
+@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf), ("r", -1.0),
+                                          ("r", -6.0), ("horizon", np.nan),
+                                          ("horizon", np.inf)])
 def test_g_t_quadrature_rejects_non_finite(field, value):
-    """G_T accepts r = 0 (it is G_T(0)), so only a non-finite r is refused."""
+    """G_T accepts r = 0 (it is G_T(0)), so r is refused only when negative
+    or non-finite. At T = 5, r = -1 gave 0.11258 against G_T(1) = 0.01726,
+    and r = -6 an untyped math domain error."""
     kw = {"r": 1.0, "horizon": 5.0, field: value}
-    match = "^r must be finite$" if field == "r" else "^horizon must be positive and finite$"
+    match = f"^{field} must be {'non-negative' if field == 'r' else 'positive'} and finite$"
     with pytest.raises(InvalidParameterError, match=match):
         pg.g_t_quadrature(spec(), **kw)
+
+
+@pytest.mark.parametrize("field, times, points", [
+    ("times", [], np.zeros((1, 3))), ("times", [0.05, np.nan], np.zeros((1, 3))),
+    ("times", [[0.05, 0.15]], np.zeros((1, 3))), ("points", [0.05], np.zeros((2, 2))),
+    ("points", [0.05], np.zeros((0, 3))), ("points", [0.05], [[0.0, np.inf, np.nan]]),
+])
+def test_pv_kernel_matrix_rejects_bad_times_and_points(field, times, points):
+    """Empty times raised IndexError, a NaN an untyped ValueError, and
+    (n, 2) points were taken silently; each is now refused by name."""
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be a non-empty"):
+        pg.pv_kernel_matrix(spec(), times, points, 0.1)
 
 
 def test_vacuum_propagator_hermitian_and_translation_invariant():
@@ -149,17 +239,17 @@ def test_vacuum_propagator_hermitian_and_translation_invariant():
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         c = rng.normal(size=4)
-        dxy = pg.vacuum_propagator(s, x, y, mass=1.0)
-        dyx = pg.vacuum_propagator(s, y, x, mass=1.0)
+        dxy = vacuum_propagator(s, x, y, mass=1.0)
+        dyx = vacuum_propagator(s, y, x, mass=1.0)
         assert abs(dxy - np.conj(dyx)) < 1e-10 * max(1.0, abs(dxy))
-        shifted = pg.vacuum_propagator(s, x + c, y + c, mass=1.0)
+        shifted = vacuum_propagator(s, x + c, y + c, mass=1.0)
         assert abs(dxy - shifted) < 1e-10 * max(1.0, abs(dxy))
 
 
-def simpson_propagator_oracle(s, r, mass, n_nodes):
-    """Brute-force equal-time radial quadrature at the module's own cutoff."""
+def simpson_propagator_oracle(r, mass, n_nodes, multiplier=50.0):
+    """Brute-force equal-time radial quadrature at the oracle's cutoff."""
     scale = max(r, 1.0 / mass)
-    pmax = s.momentum_cutoff_multiplier * max(mass, 1.0 / scale)
+    pmax = multiplier * max(mass, 1.0 / scale)
     p = np.linspace(0.0, pmax, 2 * n_nodes + 1)
     om = np.sqrt(p * p + mass * mass)
     f = p * p * np.sinc(p * r / np.pi) / (2.0 * om) / (2.0 * np.pi ** 2)
@@ -171,9 +261,8 @@ def test_vacuum_propagator_equal_time_vs_brute_force():
     s = spec()
     mass = 1.0
     r = 1.0 / mass
-    val = pg.vacuum_propagator(s, np.array([0.0, r, 0.0, 0.0]),
-                               np.zeros(4), mass=mass)
-    oracle = simpson_propagator_oracle(s, r, mass, n_nodes=400_000)
+    val = vacuum_propagator(s, np.array([0.0, r, 0.0, 0.0]), np.zeros(4), mass=mass)
+    oracle = simpson_propagator_oracle(r, mass, n_nodes=400_000)
     assert abs(val.imag) < 1e-12
     assert val.real == pytest.approx(oracle, rel=1e-6)
 
@@ -320,7 +409,7 @@ def test_quadrature_failure_raises():
         return np.sin(40.0 * p)
 
     with pytest.raises(QuadratureFailureError):
-        pg._radial_integral(nasty, pmax=60.0, osc_scale=0.0)
+        _radial_integral(nasty, pmax=60.0, osc_scale=0.0)
 
 
 def test_tabulate_omega_rows():
@@ -340,8 +429,7 @@ def test_equal_time_pv_kernel_psd_report_matches_eigen_oracle():
     kern = np.empty((8, 8), dtype=complex)
     for i in range(8):
         for j in range(8):
-            kern[i, j] = pg.pv_propagator(
-                s, np.array([0.0, *pts[i]]), np.array([0.0, *pts[j]]))
+            kern[i, j] = pv_momentum(s, [0.0], float(np.linalg.norm(pts[i] - pts[j])))[0]
     kern = 0.5 * (kern + kern.conj().T)
     report = gf.verify_psd(kern, trials=200, seed=3)
     oracle = float(np.linalg.eigvalsh(kern).min())
@@ -351,7 +439,7 @@ def test_equal_time_pv_kernel_psd_report_matches_eigen_oracle():
 # -------------------------------------------------------- radial integral
 
 def _stacked_pv_like(p):
-    """Stacked complex integrand of the shape `_pv_values` integrates."""
+    """Stacked complex integrand of the shape `pv_momentum` integrates."""
     lags = np.array([0.0, 0.3, 1.1, 2.5])
     om = np.sqrt(p * p + 1.0)
     return np.exp(-1j * np.outer(lags, om)) * (p * p * np.sinc(p / np.pi) / om)[None, :]
@@ -381,10 +469,10 @@ def test_blocked_radial_integral_is_bit_identical(block_panels, cores):
     grid (2·2⌈pmax·osc/π⌉ = 512 panels) contracted with its weights, equal
     bit for bit to the same integrand evaluated in blocks on any number of
     threads, and it starts no thread of its own."""
-    p, w = pg._panel_nodes(40.0, 512)
+    p, w = _panel_nodes(40.0, 512)
     assert len(p) > 3 * block_panels * 8           # several blocks
     threads_before = threading.active_count()
-    result = pg._radial_integral(_stacked_pv_like, 40.0, 10.0)
+    result = _radial_integral(_stacked_pv_like, 40.0, 10.0)
     assert threading.active_count() == threads_before
     assert result.shape == (4,)
     assert np.array_equal(result, _stacked_pv_like(p) @ w)
@@ -421,61 +509,51 @@ def test_g_t_quadrature_failure_is_not_cached(monkeypatch):
 
 # ---------------------------------------------------------------- grid rule
 
-def _grid_rule(s, masses, r, span):
+def _grid_rule(masses, r, span, multiplier):
     """(pmax, osc_scale) of the one momentum-grid rule at cell_dt = 0."""
-    pmax = s.momentum_cutoff_multiplier * max(masses)
-    return pmax, r + span + 2.0 / min(masses)
+    return multiplier * max(masses), r + span + 2.0 / min(masses)
 
 
 def test_every_propagator_hands_the_one_grid_rule_to_the_integrator(monkeypatch):
     """Masses are powers of two, so 1/(1/m) == m and a scale-based cutoff
-    max(m, 1/max(r, 1/m)) reads exactly m. Only the two momentum paths reach
-    the integrator; the cell-averaged kernel and G_T are position-space."""
+    max(m, 1/max(r, 1/m)) reads exactly m."""
     grids = []
 
     def record(integrand, pmax, osc_scale, what="integral"):
         grids.append((pmax, osc_scale))
         return integrand(np.array([1.0]))[..., 0]
 
-    monkeypatch.setattr(pg, "_radial_integral", record)
-    s = spec(mb=0.5, lam=4.0, momentum_cutoff_multiplier=20.0)
+    monkeypatch.setitem(globals(), "_radial_integral", record)
+    s = spec(mb=0.5, lam=4.0)
     x, y = np.array([0.7, 1.0, 2.0, 2.0]), np.zeros(4)     # Δt = 0.7, r = 3
-    pg.vacuum_propagator(s, x, y, mass=2.0)
-    pg.pv_propagator(s, x, y)
+    vacuum_propagator(s, x, y, mass=2.0, multiplier=20.0)
+    pv_momentum(s, [0.7], 3.0, multiplier=20.0)
     assert grids == [
-        _grid_rule(s, [2.0], 3.0, 0.7),
-        _grid_rule(s, [0.5, 4.0], 3.0, 0.7),
+        _grid_rule([2.0], 3.0, 0.7, 20.0),
+        _grid_rule([0.5, 4.0], 3.0, 0.7, 20.0),
     ]
-    pg.g_t_quadrature.cache_clear()
-    try:
-        pg.pv_propagator(s, x, y, cell_dt=0.2)
-        pg.g_t_quadrature(s, 0.0, 6.0)
-        pg.g_t_quadrature(s, 2.0, 6.0)
-        pg.g_t_quadrature(s, 5.0, 2.0)                     # T <= r: direct τ-integral
-    finally:
-        pg.g_t_quadrature.cache_clear()                    # in case a fake value got in
-    assert len(grids) == 2
+
+
+def test_position_space_engine_has_no_momentum_cutoff():
+    """The spec carries no momentum-cutoff field and the package no momentum
+    integrator: every evaluator in `propagators` is position-space."""
+    assert [f.name for f in dataclasses.fields(pg.PropagatorSpec)] == [
+        "boson_mass", "cutoff", "coupling"]
+    assert not hasattr(pg, "_radial_integral")
 
 
 # ---------------------------------------------------------- position space
-
-def _momentum_g_t(s, r, horizon):
-    """G_T as the momentum integral of (1 - cos(T omega))/omega^3."""
-    return float(pg._momentum_integral(
-        s, lambda ang, om: ang * (1.0 - np.cos(horizon * om)) / om ** 3,
-        r, horizon, "momentum G_T"))
-
 
 def test_g_t_position_space_is_the_limit_of_the_momentum_cutoff():
     """At r = 0 the sharp cutoff is the only error, and it closes
     monotonically on the position value; at r > 0 a high cutoff agrees."""
     lam, horizon = 4.0, 3.0
     exact = pg.g_t_quadrature(spec(lam=lam), 0.0, horizon)
-    gaps = [abs(_momentum_g_t(spec(lam=lam, momentum_cutoff_multiplier=m), 0.0, horizon)
-                - exact) for m in (50.0, 100.0, 400.0)]
+    gaps = [abs(g_t_momentum(spec(lam=lam), 0.0, horizon, multiplier=m) - exact)
+            for m in (50.0, 100.0, 400.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     for r in (0.5, 1.0, 2.0):
-        high = _momentum_g_t(spec(lam=lam, momentum_cutoff_multiplier=1600.0), r, horizon)
+        high = g_t_momentum(spec(lam=lam), r, horizon, multiplier=1600.0)
         assert pg.g_t_quadrature(spec(lam=lam), r, horizon) == pytest.approx(high, rel=1e-9)
 
 
@@ -501,10 +579,9 @@ def test_cell_averaged_kernel_sums_to_g_t_and_is_the_cutoff_limit():
         block = kern[0::2, j::2]
         assert dt * dt * float(block.real.sum()) == pytest.approx(
             pg.g_t_quadrature(s, r, horizon), rel=1e-10)
-        exact = pg._pv_values(s, lags, r, dt)
+        exact = pg._cell_averaged(s, lags, r, dt)
         assert np.abs(block[:, 0] - exact).max() < 1e-14 * np.abs(exact).max()
-        gap50, gap400 = (np.abs(pg._pv_momentum(spec(lam=5.0, momentum_cutoff_multiplier=m),
-                                                lags, r, dt) - exact)
+        gap50, gap400 = (np.abs(pv_momentum(s, lags, r, dt, multiplier=m) - exact)
                          for m in (50.0, 400.0))
         assert np.all(gap400 < gap50)
 
