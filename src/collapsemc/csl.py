@@ -11,9 +11,9 @@ exact unitary half-steps around the collapse update; dt is chosen so that
 There is one stepping path, `_step`, which advances a batch of states (one
 per row). Ensembles, single trajectories and the public one-step functions
 (a batch of one) all go through it, so collapse operators must be diagonal
-in one basis. Ensembles run in-process and draw per-trajectory noise from
-counter-based streams keyed by (master seed, trajectory index), so results
-are bit-identical for any batch size.
+in one basis. Ensembles draw per-trajectory noise from counter-based
+streams keyed by (master seed, trajectory index), so results are
+bit-identical for any batch size.
 
 An ensemble steps chunks of whole jackknife blocks (up to CHUNK_ROWS
 trajectories) as one batch, and sums ρ over each block's rows. Its noise
@@ -22,16 +22,29 @@ trajectory (`streams.NormalSlabs`), re-keyed for each chunk, so a
 trajectory's slabs are its full-horizon draw. Per-row arithmetic does not
 depend on the batch (`_row_sums` adds short rows in numpy's own order), so
 results do not depend on the chunk or slab size.
+
+The chunks are dealt round-robin over as many processes as the CPU affinity
+allows: the caller steps one share and forks a worker for each other share,
+and every process writes its chunks' block totals and rows into outputs in
+shared memory. A chunk's numbers never depend on the process that steps it,
+so results do not depend on the worker count. With one CPU, one chunk, no
+`fork`, a daemonic caller or other threads running, the same loop runs
+in-process.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
+from .errors import (CollapseMcError, DegenerateTrajectoryError, FitError,
+                     InvalidParameterError)
 from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
                       diagonal_ops, diagonals, smearing)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
@@ -311,33 +324,33 @@ def _chunk_starts(edges: np.ndarray) -> list:
     return starts + [len(edges) - 1]
 
 
-def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
-                  normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
-    if n_traj < 1:
-        raise InvalidParameterError("n_traj must be at least 1")
+def _shared_zeros(shape, dtype=float) -> np.ndarray:
+    """Zeros in an anonymous shared mapping, so that what a forked worker
+    writes into them the caller reads."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _run_chunks(scenario: CslScenario, operands, normalized: bool, master_seed: int,
+                edges: np.ndarray, probe_diag: np.ndarray, out, chunks) -> float:
+    """Step each chunk (first block, stop block) of `chunks` as one batch.
+
+    Writes into `out` = (ρ totals per block, probe records, final weights
+    or collapse sites) at the chunk's blocks and rows; returns the largest
+    norm drift.
+    """
+    rho_blocks, probes, finals = out
     grid = scenario.grid
-    operands = _step_operands(scenario.mass_ops, scenario.params, grid.time_step,
-                              scenario.h0, grid.volume_element)
-    probe_diag = operands[1][list(probe_sites)].T
-    rec_steps = scenario.record_steps()
-    rec_lookup = {int(s): i for i, s in enumerate(rec_steps)}
-    dim = len(scenario.psi0)
-    edges = block_edges(n_traj, n_blocks)
-    chunks = _chunk_starts(edges)
-
-    rho_blocks = np.zeros((len(edges) - 1, len(rec_steps), dim, dim), dtype=complex)
-    weights = np.ones(n_traj)
-    probes = np.zeros((n_traj, len(rec_steps), len(probe_sites)))
-    collapse_sites = np.full(n_traj, -1, dtype=int)
-    max_drift = 0.0
-
-    rows = int(np.diff(edges[chunks]).max())
+    rec_lookup = {int(s): i for i, s in enumerate(scenario.record_steps())}
+    rows = max(edges[stop] - edges[first] for first, stop in chunks)
     slab_steps = min(grid.n_steps, max(1, SLAB_ELEMENTS // (rows * grid.n_sites)))
     slab = np.empty((rows, slab_steps, grid.n_sites))
     streams = NormalSlabs(rows)
     scale = _noise_scale(grid)
+    max_drift = 0.0
 
-    for first, stop in zip(chunks[:-1], chunks[1:]):
+    for first, stop in chunks:
         lo, hi = edges[first], edges[stop]
         blocks = [(b, edges[b] - lo, edges[b + 1] - lo) for b in range(first, stop)]
         streams.start(master_seed, range(lo, hi))
@@ -350,7 +363,7 @@ def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
             for b, b_lo, b_hi in blocks:
                 part = states[b_lo:b_hi]
                 rho_blocks[b, ri] += np.einsum("na,nb->ab", part, part.conj())
-            if len(probe_sites):
+            if probe_diag.shape[1]:
                 p = np.abs(states) ** 2
                 probes[lo:hi, ri, :] = (p / _row_sums(p)) @ probe_diag
 
@@ -367,16 +380,93 @@ def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
         if normalized:
             pops = np.abs(states) ** 2
             collapsed = pops.max(axis=1) > COLLAPSE_THRESHOLD
-            collapse_sites[lo:hi] = np.where(collapsed, pops.argmax(axis=1), -1)
+            finals[lo:hi] = np.where(collapsed, pops.argmax(axis=1), -1)
         else:
-            weights[lo:hi] = np.einsum("na,na->n", states.conj(), states).real
+            finals[lo:hi] = np.einsum("na,na->n", states.conj(), states).real
+    return max_drift
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; 1 where forking is unavailable or
+    unsafe (a thread other than this one would not survive the fork)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _reply(conn, run, chunks):
+    """Worker body: send back `run(chunks)`, or the exception it raised."""
+    try:
+        reply = run(chunks)
+    except Exception as exc:        # re-raised, typed, by the caller
+        reply = exc
+    conn.send(reply)
+
+
+def _in_workers(run, chunks) -> float:
+    """`run(chunks)` with the chunks dealt round-robin over up to
+    `_worker_count()` processes: the caller steps the first share and forks
+    a worker for each other one, which writes into the shared outputs and
+    replies with its largest drift. No worker outlives the call."""
+    n = min(_worker_count(), len(chunks))
+    if n == 1:
+        return run(chunks)
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    if context.current_process().daemon:    # may not have children
+        return run(chunks)
+    workers = []
+    try:
+        for i in range(1, n):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_reply, args=(send, run, chunks[i::n]))
+            worker.start()
+            send.close()
+            workers.append((worker, receive))
+        drifts = [run(chunks[::n])]
+        for worker, receive in workers:
+            try:
+                reply = receive.recv()
+            except EOFError:
+                worker.join()
+                raise CollapseMcError(
+                    f"ensemble worker exited with code {worker.exitcode}") from None
+            if isinstance(reply, Exception):
+                raise reply
+            drifts.append(reply)
+    finally:
+        for worker, receive in workers:
+            worker.join()
+            receive.close()
+    return max(drifts)
+
+
+def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
+                  normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
+    if n_traj < 1:
+        raise InvalidParameterError("n_traj must be at least 1")
+    grid = scenario.grid
+    operands = _step_operands(scenario.mass_ops, scenario.params, grid.time_step,
+                              scenario.h0, grid.volume_element)
+    probe_diag = operands[1][list(probe_sites)].T
+    rec_steps = scenario.record_steps()
+    dim = len(scenario.psi0)
+    edges = block_edges(n_traj, n_blocks)
+    starts = _chunk_starts(edges)
+
+    out = (_shared_zeros((len(edges) - 1, len(rec_steps), dim, dim), complex),
+           _shared_zeros((n_traj, len(rec_steps), len(probe_sites))),
+           _shared_zeros(n_traj, int if normalized else float))
+    run = partial(_run_chunks, scenario, operands, normalized, master_seed, edges,
+                  probe_diag, out)
+    max_drift = _in_workers(run, list(zip(starts[:-1], starts[1:])))
     return EnsembleStats(
         record_times=rec_steps * grid.time_step,
-        rho_block_totals=rho_blocks,
+        rho_block_totals=out[0],
         block_counts=np.diff(edges),
-        weights=weights,
-        probe_values=probes,
-        collapse_sites=collapse_sites if normalized else None,
+        weights=np.ones(n_traj) if normalized else out[2],
+        probe_values=out[1],
+        collapse_sites=out[2] if normalized else None,
         max_norm_drift=max_drift)
 
 

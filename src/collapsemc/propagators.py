@@ -306,6 +306,9 @@ def pv_propagator(spec: PropagatorSpec, x, y, cell_dt: float) -> complex:
     (t, 3-vector), averaged over time cells of width cell_dt in position
     space (module docstring); Δt is read as a midpoint difference."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for name, event in (("x", x), ("y", y)):
+        if event.shape != (4,) or not np.all(np.isfinite(event)):
+            raise InvalidParameterError(f"{name} must be a finite event (t, x, y, z)")
     r = float(np.linalg.norm(x[1:] - y[1:]))
     return complex(_cell_averaged(spec, np.array([x[0] - y[0]]), r, cell_dt)[0])
 
@@ -314,8 +317,8 @@ def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray
                      cell_dt: float) -> np.ndarray:
     """Spacetime PV kernel over a lattice, time-major point ordering.
 
-    times: midpoint time nodes (length n_t); points: (n_x, 3) site
-    coordinates. Entry ((k,i),(l,j)) is D(t_k − t_l, |x_i − x_j|), averaged
+    times: equally spaced midpoint time nodes (length n_t); points: (n_x, 3)
+    site coordinates. Entry ((k,i),(l,j)) is D(t_k − t_l, |x_i − x_j|), averaged
     over time cells of width cell_dt, the step size. Hermitian by
     construction (D(−Δt) = D(Δt)*).
     """
@@ -323,6 +326,11 @@ def pv_kernel_matrix(spec: PropagatorSpec, times: np.ndarray, points: np.ndarray
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a non-empty 1-D array of finite values")
+    # every block is read off the lags t_k − t_0, so the spacing must be one
+    # step to rounding
+    gaps = np.diff(times)
+    if len(gaps) and np.abs(gaps - gaps.mean()).max() > 1e-9 * np.abs(gaps.mean()):
+        raise InvalidParameterError("times must be equally spaced")
     if (points.ndim != 2 or points.shape[1] != 3 or not len(points)
             or not np.all(np.isfinite(points))):
         raise InvalidParameterError("points must be a non-empty (n_x, 3) array of finite values")

@@ -2,7 +2,7 @@
 
 Every stochastic object in the package draws from a Philox generator keyed
 by (master_seed, stream_index). Streams for distinct indices are independent
-by construction, so ensembles can be generated in any batch/thread layout
+by construction, so ensembles can be generated in any batch/process layout
 and still produce bit-identical per-trajectory noise.
 
 `normal_rows` draws many streams at once: it re-keys one Philox per call

@@ -1,10 +1,14 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from collapsemc import csl
-from collapsemc.errors import (DegenerateTrajectoryError, FitError,
-                               InvalidParameterError)
+from collapsemc.errors import (CollapseMcError, DegenerateTrajectoryError, FitError,
+                               InvalidParameterError, NumericFailureError)
 from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
                                 LatticeOperator, QuantumState, diagonals, evolve_lindblad,
                                 hopping_hamiltonian, mass_density_diagonals,
@@ -450,6 +454,137 @@ def test_chunked_ensemble_equals_per_block_loop_on_nine_sites(monkeypatch, norma
     """Nine sites and nine states: every row sum takes numpy's pairwise path."""
     assert_ensemble_equals_reference(monkeypatch, line_scenario(9, 0.3), 61, normalized,
                                      10, 13, 300)
+
+
+STATS_FIELDS = ("record_times", "rho_block_totals", "block_counts", "weights",
+                "probe_values", "collapse_sites", "max_norm_drift")
+
+
+def run_with_workers(monkeypatch, n_workers, scenario, n_traj, normalized, n_blocks):
+    monkeypatch.setattr(csl, "_worker_count", lambda: n_workers)
+    return csl._run_ensemble(scenario, n_traj, 21, normalized,
+                             (0, scenario.grid.n_sites - 1), n_blocks)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("chunk_rows, n_blocks", [
+    (7, 50),            # 24 chunks of 5 to 7 rows, the last one of 3
+    (20, 4),            # 4 chunks of one block each, 32 or 33 rows > CHUNK_ROWS
+])
+@pytest.mark.parametrize("hop", [0.0, 0.3])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_ensemble_in_workers_equals_serial(monkeypatch, normalized, hop, chunk_rows,
+                                           n_blocks, n_workers):
+    """Chunks dealt over forked workers give the in-process run bit for bit,
+    in every field; 64 workers is more than there are chunks."""
+    scenario = line_scenario(3, hop)
+    monkeypatch.setattr(csl, "CHUNK_ROWS", chunk_rows)
+    serial = run_with_workers(monkeypatch, 1, scenario, 131, normalized, n_blocks)
+    parallel = run_with_workers(monkeypatch, n_workers, scenario, 131, normalized, n_blocks)
+    for name in STATS_FIELDS:
+        assert np.array_equal(getattr(parallel, name), getattr(serial, name)), name
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def fork_count(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("chunk_rows, n_forks", [(10 ** 6, 0), (70, 1)])
+def test_workers_forked_are_one_fewer_than_shares(monkeypatch, fork_count, chunk_rows,
+                                                  n_forks):
+    """One chunk runs in-process and forks nothing; two chunks on two
+    workers fork one, since the caller steps its own share."""
+    monkeypatch.setattr(csl, "CHUNK_ROWS", chunk_rows)
+    run_with_workers(monkeypatch, 2, line_scenario(3), 131, True, 50)
+    assert len(fork_count) == n_forks
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_is_the_cpu_affinity_on_one_thread():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert csl._worker_count() == cpus
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        assert csl._worker_count() == 1
+    finally:
+        release.set()
+        other.join(10.0)
+    assert not other.is_alive()
+
+
+def run_and_send(send, scenario):
+    stats = csl._run_ensemble(scenario, 131, 21, True, (0, 2), 50)
+    send.send([getattr(stats, name) for name in STATS_FIELDS])
+
+
+def test_daemonic_caller_steps_every_chunk_itself(monkeypatch):
+    """A daemonic process may not have children, so its ensembles run
+    in-process instead of failing to start a worker."""
+    monkeypatch.setattr(csl, "CHUNK_ROWS", 7)
+    scenario = line_scenario(3)
+    serial = run_with_workers(monkeypatch, 1, scenario, 131, True, 50)
+    monkeypatch.setattr(csl, "_worker_count", lambda: 2)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    daemon = context.Process(target=run_and_send, args=(send, scenario), daemon=True)
+    daemon.start()
+    send.close()
+    try:
+        assert receive.poll(60.0)
+        fields = receive.recv()
+    finally:
+        daemon.join(60.0)
+        receive.close()
+    assert daemon.exitcode == 0
+    for name, got in zip(STATS_FIELDS, fields):
+        assert np.array_equal(got, getattr(serial, name)), name
+
+
+def fail_in_workers(real, failure):
+    """`_run_chunks` that fails in every process but the caller's."""
+    caller = os.getpid()
+
+    def run(*args):
+        if os.getpid() != caller:
+            failure()
+        return real(*args)
+
+    return run
+
+
+def raise_numeric_failure():
+    raise NumericFailureError("non-finite amplitudes", step_index=17)
+
+
+def test_worker_failure_reaches_the_caller_typed(monkeypatch):
+    monkeypatch.setattr(csl, "_run_chunks", fail_in_workers(csl._run_chunks,
+                                                            raise_numeric_failure))
+    monkeypatch.setattr(csl, "CHUNK_ROWS", 7)
+    with pytest.raises(NumericFailureError, match="^non-finite amplitudes$") as info:
+        run_with_workers(monkeypatch, 3, line_scenario(3), 131, True, 50)
+    assert info.value.step_index == 17
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exit_without_reply_is_an_error(monkeypatch):
+    monkeypatch.setattr(csl, "_run_chunks", fail_in_workers(csl._run_chunks,
+                                                            lambda: os._exit(3)))
+    monkeypatch.setattr(csl, "CHUNK_ROWS", 7)
+    with pytest.raises(CollapseMcError, match="^ensemble worker exited with code 3$"):
+        run_with_workers(monkeypatch, 2, line_scenario(3), 131, False, 50)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 5, 64, 1000])

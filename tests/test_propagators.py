@@ -232,6 +232,35 @@ def test_pv_kernel_matrix_rejects_bad_times_and_points(field, times, points):
         pg.pv_kernel_matrix(spec(), times, points, 0.1)
 
 
+def test_pv_kernel_matrix_refuses_uneven_times():
+    """Every block is read off the lags t_k − t_0, so at times 0.05, 0.15,
+    0.45 entry (2, 1) was 0.6906 − 1.6999i where `pv_propagator` gives
+    −0.6971 − 0.4458i. Uneven times are refused; rounding in the spacing
+    is not."""
+    s = pg.PropagatorSpec(1.0, 10.0)
+    with pytest.raises(InvalidParameterError, match="^times must be equally spaced$"):
+        pg.pv_kernel_matrix(s, [0.05, 0.15, 0.45], np.zeros((1, 3)), 0.1)
+    times = np.linspace(0.05, 0.75, 8)
+    assert len(set(np.diff(times))) > 1
+    kern = pg.pv_kernel_matrix(s, times, np.zeros((1, 3)), 0.1)
+    val = pg.pv_propagator(s, (times[6], 0.0, 0.0, 0.0), (times[1], 0.0, 0.0, 0.0), 0.1)
+    assert kern[6, 1] == pytest.approx(val, rel=1e-9)
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("event", [(np.nan, 0.0, 0.0, 0.0), (0.1, np.nan, 0.0, 0.0),
+                                   (0.1, 0.0, 0.0, np.inf), (0.1, 0.0, 0.0),
+                                   (0.1, 0.0, 0.0, 0.0, 0.0), [[0.1, 0.0, 0.0, 0.0]]])
+def test_pv_propagator_rejects_bad_events(field, event):
+    """A NaN time or coordinate raised an untyped ValueError from the panel
+    cuts, and a 3-component event a broadcast error; each is now refused by
+    name."""
+    kw = {"x": (0.3, 0.0, 0.0, 0.0), "y": (0.1, 0.5, 0.0, 0.0), field: event}
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{field} must be a finite event \\(t, x, y, z\\)$"):
+        pg.pv_propagator(spec(), cell_dt=0.1, **kw)
+
+
 def test_vacuum_propagator_hermitian_and_translation_invariant():
     s = spec()
     rng = np.random.default_rng(2)
