@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import CollapseMcError, ConfigError
 from .hilbert import (CslParams, DensityMatrix, LatticeGrid, evolve_lindblad,
                       hopping_hamiltonian, point_mass_ops)
 from .mcstats import block_sums, chi2_pvalue, jackknife_statistic, mean_se
+from .workers import in_workers
 
 SCHEMA_VERSION = 1
 ENV_OUTPUT_DIR = "COLLAPSEMC_OUT"
@@ -357,6 +360,12 @@ def _run_nonmarkov_unraveling(cfg: ScenarioConfig) -> tuple:
 
 
 def _run_beable_stats(cfg: ScenarioConfig) -> tuple:
+    """Two criteria. `girsanov_weight_mean` checks E₀[w] = 1, the physical
+    measure's normalization. `beable_shift_quadrature_rel_err` compares
+    `nm.beable_shift` on a frozen eigenstate, one matrix product
+    (`1j * jbar @ d.T`), with the same sum written as a loop below: it
+    checks one form of the product against another and tests nothing
+    physical, so a wrong sign, kernel or weight passes it."""
     p = cfg.params
     phase, factor = _nonmarkov_setup(p)
     psi0 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
@@ -419,32 +428,51 @@ def _run_omega_table(cfg: ScenarioConfig) -> tuple:
     return crits, {"omega_table": table}
 
 
+def _delta_cells(spec: pg.PropagatorSpec, p: dict, seed: int, cells) -> list:
+    """(seed offset, `delta_metric_mc` result) for each cell (seed offset,
+    r, T) of `cells`."""
+    mb = p["boson_mass"]
+    return [(offset, ca.delta_metric_mc(spec, float(r) / mb, float(t) / mb,
+                                        int(p["n_samples"]), int(p["n_steps"]),
+                                        master_seed=seed + offset))
+            for offset, r, t in cells]
+
+
 def _run_delta_metric(cfg: ScenarioConfig) -> tuple:
+    """One criterion per (r, T) cell, cell k (counted from 1) seeded with
+    seed + k. The cells are dealt over every core (`workers.in_workers`); a
+    cell's numbers do not depend on the process that computes them, so
+    results do not depend on the worker count."""
     p = cfg.params
     spec = pg.PropagatorSpec(boson_mass=p["boson_mass"], cutoff=p["cutoff"],
                              coupling=p["coupling"])
+    cells = [(offset, r, t) for offset, (r, t) in
+             enumerate(itertools.product(p["r_values"], p["horizons"]), start=1)]
+    results = dict(pair for share in in_workers(partial(_delta_cells, spec, p, cfg.seed),
+                                                cells)
+                   for pair in share)
     crits, rows = [], []
-    seed_offset = 0
-    for r in p["r_values"]:
-        for t in p["horizons"]:
-            seed_offset += 1
-            res = ca.delta_metric_mc(spec, float(r) / p["boson_mass"],
-                                     float(t) / p["boson_mass"],
-                                     int(p["n_samples"]), int(p["n_steps"]),
-                                     master_seed=cfg.seed + seed_offset)
-            crits.append(_criterion(
-                f"delta_metric_r{r}_t{t}", res.delta_mc, res.delta_analytic,
-                3.0 * res.delta_se, res.delta_se,
-                {"omega": res.omega, "omega_lattice": res.omega_lattice}))
-            rows.append({"r": res.r, "t": res.horizon, "delta_mc": res.delta_mc,
-                         "se": res.delta_se, "delta_analytic": res.delta_analytic,
-                         "omega": res.omega})
+    for offset, r, t in cells:
+        res = results[offset]
+        crits.append(_criterion(
+            f"delta_metric_r{r}_t{t}", res.delta_mc, res.delta_analytic,
+            3.0 * res.delta_se, res.delta_se,
+            {"omega": res.omega, "omega_lattice": res.omega_lattice}))
+        rows.append({"r": res.r, "t": res.horizon, "delta_mc": res.delta_mc,
+                     "se": res.delta_se, "delta_analytic": res.delta_analytic,
+                     "omega": res.omega})
     return crits, {"delta_metric": rows}
 
 
 def _run_quartic_reweight(cfg: ScenarioConfig) -> tuple:
     """Check d⟨O⟩/dλ at λ = 0 for O = |ξ_0|²: a central finite difference in
-    the tilt strength against the covariance of O with the tilt."""
+    the tilt strength against the covariance of O with the tilt.
+
+    With S = 0, the Gaussian measure, |ξ|² and the ε|ξ|⁶ term are unchanged
+    by ξ → e^{iπ/4}ξ, which flips the sign of the tilt Im ξ⁴. So ⟨|ξ₀|²⟩_λ
+    is even in λ and this derivative is zero by symmetry: both estimates
+    target exactly 0, and the criterion is a symmetry check, not a test of
+    the tilt's size."""
     p = cfg.params
     n_pts = int(p["n_points"])
     pair = gf.KernelPair(gamma=np.eye(n_pts, dtype=complex),

@@ -23,32 +23,29 @@ trajectory's slabs are its full-horizon draw. Per-row arithmetic does not
 depend on the batch (`_row_sums` adds short rows in numpy's own order), so
 results do not depend on the chunk or slab size.
 
-The chunks are dealt round-robin over as many processes as the CPU affinity
-allows: the caller steps one share and forks a worker for each other share,
-and every process writes its chunks' block totals and rows into outputs in
-shared memory. A chunk's numbers never depend on the process that steps it,
-so results do not depend on the worker count. With one CPU, one chunk, no
-`fork`, a daemonic caller or other threads running, the same loop runs
-in-process.
+The chunks are dealt over every core by the package's one fork driver,
+`workers.in_workers`: every process writes its chunks' block totals and
+rows into outputs in shared memory and replies with its largest norm drift,
+of which the ensemble keeps the maximum. A chunk's numbers never depend on
+the process that steps it, so results do not depend on the worker count.
+With one CPU, one chunk, no `fork`, a daemonic caller or other threads
+running, the same loop runs in-process.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (CollapseMcError, DegenerateTrajectoryError, FitError,
-                     InvalidParameterError)
+from .errors import DegenerateTrajectoryError, FitError, InvalidParameterError
 from .hilbert import (CslParams, LatticeGrid, QuantumState, as_matrix, check_finite,
                       diagonal_ops, diagonals, smearing)
 from .mcstats import N_BLOCKS, block_edges, jackknife_statistic, trace_distance_jackknife
 from .streams import NormalSlabs, normal_rows
+from .workers import in_workers, shared_zeros
 
 NORM_TOL = 1e-8
 DT_STABILITY_TARGET = 1e-2
@@ -324,14 +321,6 @@ def _chunk_starts(edges: np.ndarray) -> list:
     return starts + [len(edges) - 1]
 
 
-def _shared_zeros(shape, dtype=float) -> np.ndarray:
-    """Zeros in an anonymous shared mapping, so that what a forked worker
-    writes into them the caller reads."""
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-    return np.frombuffer(buf, dtype, count).reshape(shape)
-
-
 def _run_chunks(scenario: CslScenario, operands, normalized: bool, master_seed: int,
                 edges: np.ndarray, probe_diag: np.ndarray, out, chunks) -> float:
     """Step each chunk (first block, stop block) of `chunks` as one batch.
@@ -386,61 +375,6 @@ def _run_chunks(scenario: CslScenario, operands, normalized: bool, master_seed: 
     return max_drift
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; 1 where forking is unavailable or
-    unsafe (a thread other than this one would not survive the fork)."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _reply(conn, run, chunks):
-    """Worker body: send back `run(chunks)`, or the exception it raised."""
-    try:
-        reply = run(chunks)
-    except Exception as exc:        # re-raised, typed, by the caller
-        reply = exc
-    conn.send(reply)
-
-
-def _in_workers(run, chunks) -> float:
-    """`run(chunks)` with the chunks dealt round-robin over up to
-    `_worker_count()` processes: the caller steps the first share and forks
-    a worker for each other one, which writes into the shared outputs and
-    replies with its largest drift. No worker outlives the call."""
-    n = min(_worker_count(), len(chunks))
-    if n == 1:
-        return run(chunks)
-    import multiprocessing
-    context = multiprocessing.get_context("fork")
-    if context.current_process().daemon:    # may not have children
-        return run(chunks)
-    workers = []
-    try:
-        for i in range(1, n):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_reply, args=(send, run, chunks[i::n]))
-            worker.start()
-            send.close()
-            workers.append((worker, receive))
-        drifts = [run(chunks[::n])]
-        for worker, receive in workers:
-            try:
-                reply = receive.recv()
-            except EOFError:
-                worker.join()
-                raise CollapseMcError(
-                    f"ensemble worker exited with code {worker.exitcode}") from None
-            if isinstance(reply, Exception):
-                raise reply
-            drifts.append(reply)
-    finally:
-        for worker, receive in workers:
-            worker.join()
-            receive.close()
-    return max(drifts)
-
-
 def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
                   normalized: bool, probe_sites=(), n_blocks: int = N_BLOCKS) -> EnsembleStats:
     if n_traj < 1:
@@ -454,12 +388,12 @@ def _run_ensemble(scenario: CslScenario, n_traj: int, master_seed: int,
     edges = block_edges(n_traj, n_blocks)
     starts = _chunk_starts(edges)
 
-    out = (_shared_zeros((len(edges) - 1, len(rec_steps), dim, dim), complex),
-           _shared_zeros((n_traj, len(rec_steps), len(probe_sites))),
-           _shared_zeros(n_traj, int if normalized else float))
+    out = (shared_zeros((len(edges) - 1, len(rec_steps), dim, dim), complex),
+           shared_zeros((n_traj, len(rec_steps), len(probe_sites))),
+           shared_zeros(n_traj, int if normalized else float))
     run = partial(_run_chunks, scenario, operands, normalized, master_seed, edges,
                   probe_diag, out)
-    max_drift = _in_workers(run, list(zip(starts[:-1], starts[1:])))
+    max_drift = max(in_workers(run, list(zip(starts[:-1], starts[1:]))))
     return EnsembleStats(
         record_times=rec_steps * grid.time_step,
         rho_block_totals=out[0],

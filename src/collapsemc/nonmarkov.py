@@ -24,11 +24,18 @@ Each row is bit for bit the one-sample draw `sample_fields(factor, 1, s,
 3i)[0]` (and `sample_relation_fields` for η, η′); `gf.field_rows` and
 `gf.relation_field_rows` produce a block of them from one re-keyed Philox
 generator and one stacked matmul, with values unchanged.
+
+So every `FIELD_CHUNK` chunk of `run_field_ensemble` and every jackknife
+block of `run_pair_ensemble` is an independent unit of work. The units are
+dealt over every core by the package's one fork driver, `workers.in_workers`,
+and each writes its samples, states or block total into outputs in shared
+memory; results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from .errors import DegenerateEnsembleError, InvalidParameterError, UnsupportedR
 from .hilbert import (DensityMatrix, QuantumState, adjoint_error, as_matrix, check_finite,
                       diagonals)
 from .mcstats import block_edges, mean_se, trace_distance_jackknife
+from .workers import in_workers, shared_zeros
 
 FIELD_CHUNK = 2048              # samples per closed-form evolution batch
 
@@ -349,20 +357,25 @@ def _draw_rows(rows, factor, seed: int, lo: int, hi: int, offset: int) -> np.nda
     return rows(factor, seed, range(3 * lo + offset, 3 * hi + offset, 3))
 
 
-def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
-                      psi0: np.ndarray, n_samples: int, master_seed: int) -> UnravelingStats:
-    """Monte-Carlo check of the unraveling condition with auxiliary noise.
-
-    Sample i draws ξ, η, η′ by the stream contract of the module docstring;
-    the estimator averages |ψ_{ξ,η}><ψ_{ξ,η′}|. Reduction happens in fixed
-    block order so results are independent of scheduling.
-    """
+def _ensemble_psi0(phase: InfluencePhase, psi0, n_samples) -> np.ndarray:
+    """psi0 as a complex vector, after refusing an `n_samples` that is not
+    an integer >= 1 or a `psi0` that is not a finite vector of length dim."""
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1):
+        raise InvalidParameterError("n_samples must be an integer >= 1")
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (phase.dim,) or not np.all(np.isfinite(psi0)):
+        raise InvalidParameterError(f"psi0 must be a finite vector of length {phase.dim}")
+    return psi0
+
+
+def _pair_blocks(phase: InfluencePhase, factor: gf.SamplingFactor, relf, psi0: np.ndarray,
+                 master_seed: int, edges: np.ndarray, block_totals: np.ndarray, blocks):
+    """Write the pair-estimator total of each block in `blocks` into
+    `block_totals`."""
     j = phase.sources()
-    relf = gf.relation_factor(phase.auxiliary_relation_kernel())
-    edges = block_edges(n_samples)
-    block_totals = np.zeros((len(edges) - 1, phase.dim, phase.dim), dtype=complex)
-    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+    for b in blocks:
+        lo, hi = edges[b], edges[b + 1]
         xi = _draw_rows(gf.field_rows, factor, master_seed, lo, hi, 0)
         ket, bra = (np.exp(-1j * ((xi + eta) @ j.T)) * psi0[None, :]
                     for eta in (_draw_rows(gf.relation_field_rows, relf, master_seed,
@@ -370,6 +383,24 @@ def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
         check_finite(ket, "non-finite amplitude in pair ensemble")
         check_finite(bra, "non-finite amplitude in pair ensemble")
         block_totals[b] = np.einsum("na,nb->ab", ket, bra.conj())
+
+
+def run_pair_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
+                      psi0: np.ndarray, n_samples: int, master_seed: int) -> UnravelingStats:
+    """Monte-Carlo check of the unraveling condition with auxiliary noise.
+
+    Sample i draws ξ, η, η′ by the stream contract of the module docstring;
+    the estimator averages |ψ_{ξ,η}><ψ_{ξ,η′}|. The jackknife blocks are
+    dealt over every core (`workers.in_workers`), each total written by one
+    process and reduced in fixed block order, so results are independent of
+    scheduling.
+    """
+    psi0 = _ensemble_psi0(phase, psi0, n_samples)
+    relf = gf.relation_factor(phase.auxiliary_relation_kernel())
+    edges = block_edges(n_samples)
+    block_totals = shared_zeros((len(edges) - 1, phase.dim, phase.dim), complex)
+    in_workers(partial(_pair_blocks, phase, factor, relf, psi0, master_seed, edges,
+                       block_totals), range(len(edges) - 1))
     rho = block_totals.sum(axis=0) / n_samples
     return UnravelingStats(rho=0.5 * (rho + rho.conj().T),
                            block_totals=block_totals, block_counts=np.diff(edges),
@@ -388,18 +419,29 @@ class FieldEnsemble:
         return self.states[:, -1, :]
 
 
+def _field_chunks(phase: InfluencePhase, factor: gf.SamplingFactor, psi0: np.ndarray,
+                  master_seed: int, samples: np.ndarray, states: np.ndarray, chunks):
+    """Draw the samples lo..hi−1 of each chunk (lo, hi) in `chunks` and evolve
+    their closed-form states, writing both at their rows."""
+    for lo, hi in chunks:
+        xi = _draw_rows(gf.field_rows, factor, master_seed, lo, hi, 0)
+        samples[lo:hi] = xi
+        states[lo:hi] = linear_states(phase, xi, psi0)
+
+
 def run_field_ensemble(phase: InfluencePhase, factor: gf.SamplingFactor,
                        psi0: np.ndarray, n_samples: int, master_seed: int) -> FieldEnsemble:
     """Sample ξ from the a-priori measure and evolve the closed-form states
-    in batches of FIELD_CHUNK samples."""
-    xi_rows, state_rows = [], []
-    for lo in range(0, n_samples, FIELD_CHUNK):
-        hi = min(lo + FIELD_CHUNK, n_samples)
-        xi = _draw_rows(gf.field_rows, factor, master_seed, lo, hi, 0)
-        xi_rows.append(xi)
-        state_rows.append(linear_states(phase, xi, psi0))
-    return FieldEnsemble(samples=np.concatenate(xi_rows),
-                         states=np.concatenate(state_rows))
+    in chunks of FIELD_CHUNK samples, dealt over every core
+    (`workers.in_workers`)."""
+    psi0 = _ensemble_psi0(phase, psi0, n_samples)
+    samples = shared_zeros((n_samples, factor.n_points), complex)
+    states = shared_zeros((n_samples, phase.n_steps + 1, phase.dim), complex)
+    chunks = [(lo, min(lo + FIELD_CHUNK, n_samples))
+              for lo in range(0, n_samples, FIELD_CHUNK)]
+    in_workers(partial(_field_chunks, phase, factor, psi0, master_seed, samples, states),
+               chunks)
+    return FieldEnsemble(samples=samples, states=states)
 
 
 def cooked_ensemble(phase: InfluencePhase, ensemble: FieldEnsemble) -> WeightedFieldEnsemble:

@@ -21,9 +21,11 @@ import numpy as np
 _LIMIT = 1 << 64
 
 
-def _check(*halves):
+def _check(master_seed, indices):
     """Seed and indices must lie in [0, 2**64): they fill the two 64-bit
-    halves of the Philox key, so a wider value would alias a smaller one."""
+    halves of the Philox key, so a wider value would alias a smaller one.
+    Only the smallest and the largest index need the test."""
+    halves = [master_seed, min(indices), max(indices)] if len(indices) else [master_seed]
     if not all(0 <= half < _LIMIT for half in halves):
         raise ValueError("master_seed and index must lie in [0, 2**64)")
 
@@ -31,7 +33,7 @@ def _check(*halves):
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for sub-stream `index` of `master_seed`: the
     seed fills the low and the index the high 64 bits of the Philox key."""
-    _check(master_seed, index)
+    _check(master_seed, [index])
     key = int(master_seed) | (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -52,7 +54,7 @@ def normal_rows(master_seed: int, indices, shape: tuple) -> np.ndarray:
     """Standard normals of shape (len(indices), *shape) whose row j equals
     `stream(master_seed, indices[j]).standard_normal(shape)`."""
     indices = list(indices)
-    _check(master_seed, *indices)
+    _check(master_seed, indices)
     out = np.empty((len(indices), *shape))
     gen = np.random.Generator(np.random.Philox(key=0))
     state, key = _start_state(master_seed)
@@ -81,7 +83,7 @@ class NormalSlabs:
 
     def start(self, master_seed: int, indices):
         indices = list(indices)
-        _check(master_seed, *indices)
+        _check(master_seed, indices)
         if len(indices) > len(self._gens):
             raise ValueError(f"{len(indices)} streams asked of {len(self._gens)}")
         state, key = _start_state(master_seed)

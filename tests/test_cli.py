@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from collapsemc import cli
+from collapsemc import cli, workers
 from collapsemc import propagators as pg
 from collapsemc.errors import ConfigError
 
@@ -75,6 +76,24 @@ def test_run_end_to_end_reproduces_hash(tmp_path, capsys, kind, params, criteria
     assert codes[0] == (0 if all(v == "PASS" for v, _ in verdicts) else 1)
     assert codes[1] == codes[0]
     assert hash_line(outs[1]) == hash_line(outs[0])
+
+
+@pytest.mark.parametrize("n_workers", [2, 3, 64])
+def test_delta_metric_cells_in_workers_equal_serial(monkeypatch, n_workers):
+    """The six (r, T) cells dealt over forked workers give the in-process
+    criteria and table bit for bit, in cell order; 64 workers is more than
+    there are cells."""
+    cfg = cli.ScenarioConfig.from_dict({"kind": "delta_metric", "seed": 5, "params": {
+        "r_values": [0.5, 1, 2.0], "horizons": [1.0, 2], "n_steps": 4, "n_samples": 300}})
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    serial = cli.run_experiment(cfg)
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    parallel = cli.run_experiment(cfg)
+    assert [c.name for c in serial.criteria][:2] == ["delta_metric_r0.5_t1.0",
+                                                     "delta_metric_r0.5_t2"]
+    assert parallel.criteria == serial.criteria
+    assert parallel.tables == serial.tables
+    assert multiprocessing.active_children() == []
 
 
 def test_run_unknown_parameter_exits_2_naming_field(tmp_path, capsys):

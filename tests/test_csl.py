@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from collapsemc import csl
+from collapsemc import csl, workers
 from collapsemc.errors import (CollapseMcError, DegenerateTrajectoryError, FitError,
                                InvalidParameterError, NumericFailureError)
 from collapsemc.hilbert import (CslParams, DensityMatrix, LatticeGrid,
@@ -461,7 +461,7 @@ STATS_FIELDS = ("record_times", "rho_block_totals", "block_counts", "weights",
 
 
 def run_with_workers(monkeypatch, n_workers, scenario, n_traj, normalized, n_blocks):
-    monkeypatch.setattr(csl, "_worker_count", lambda: n_workers)
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
     return csl._run_ensemble(scenario, n_traj, 21, normalized,
                              (0, scenario.grid.n_sites - 1), n_blocks)
 
@@ -486,19 +486,6 @@ def test_ensemble_in_workers_equals_serial(monkeypatch, normalized, hop, chunk_r
     assert multiprocessing.active_children() == []
 
 
-@pytest.fixture
-def fork_count(monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 @pytest.mark.parametrize("chunk_rows, n_forks", [(10 ** 6, 0), (70, 1)])
 def test_workers_forked_are_one_fewer_than_shares(monkeypatch, fork_count, chunk_rows,
                                                   n_forks):
@@ -512,12 +499,12 @@ def test_workers_forked_are_one_fewer_than_shares(monkeypatch, fork_count, chunk
 
 def test_worker_count_is_the_cpu_affinity_on_one_thread():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert csl._worker_count() == cpus
+    assert workers.worker_count() == cpus
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10.0,))
     other.start()
     try:
-        assert csl._worker_count() == 1
+        assert workers.worker_count() == 1
     finally:
         release.set()
         other.join(10.0)
@@ -535,7 +522,7 @@ def test_daemonic_caller_steps_every_chunk_itself(monkeypatch):
     monkeypatch.setattr(csl, "CHUNK_ROWS", 7)
     scenario = line_scenario(3)
     serial = run_with_workers(monkeypatch, 1, scenario, 131, True, 50)
-    monkeypatch.setattr(csl, "_worker_count", lambda: 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     daemon = context.Process(target=run_and_send, args=(send, scenario), daemon=True)

@@ -1,10 +1,14 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from collapsemc import gaussian_field as gf
 from collapsemc import nonmarkov as nm
+from collapsemc import workers
 from collapsemc.errors import (DegenerateEnsembleError, InvalidParameterError,
-                               UnsupportedRegimeError)
+                               NumericFailureError, UnsupportedRegimeError)
 from collapsemc.hilbert import DensityMatrix, QuantumState, trace_distance
 from collapsemc.mcstats import mean_se
 
@@ -398,3 +402,139 @@ def test_field_ensemble_determinism():
     e2 = nm.run_field_ensemble(phase, factor, PSI0, 100, master_seed=15)
     np.testing.assert_array_equal(e1.samples, e2.samples)
     np.testing.assert_array_equal(e1.states, e2.states)
+
+
+# ------------------------------------------------------------ input checks
+
+ENSEMBLES = {"field": nm.run_field_ensemble, "pair": nm.run_pair_ensemble}
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "4", None])
+def test_ensembles_refuse_bad_n_samples(ensemble, n_samples):
+    phase, factor = make_phase(seed=33)
+    with pytest.raises(InvalidParameterError, match="^n_samples must be an integer >= 1$"):
+        ENSEMBLES[ensemble](phase, factor, PSI0, n_samples, 1)
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@pytest.mark.parametrize("psi0", [[0.6, 0.8, 0.0], [0.6], [[0.6, 0.8]], [np.nan, 1.0],
+                                  [1.0, np.inf]])
+def test_ensembles_refuse_bad_psi0(ensemble, psi0):
+    phase, factor = make_phase(seed=33)
+    with pytest.raises(InvalidParameterError,
+                       match="^psi0 must be a finite vector of length 2$"):
+        ENSEMBLES[ensemble](phase, factor, psi0, 10, 1)
+
+
+def test_ensembles_take_numpy_integer_sample_counts():
+    phase, factor = make_phase(seed=33)
+    field = nm.run_field_ensemble(phase, factor, PSI0, np.int64(5), 1)
+    assert np.array_equal(field.states, nm.run_field_ensemble(phase, factor, PSI0, 5, 1).states)
+    pair = nm.run_pair_ensemble(phase, factor, PSI0, np.int64(5), 1)
+    assert np.array_equal(pair.rho, nm.run_pair_ensemble(phase, factor, PSI0, 5, 1).rho)
+
+
+# ------------------------------------------------------------ forked workers
+
+def field_run(monkeypatch, n_workers, phase, factor, n_samples):
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    return nm.run_field_ensemble(phase, factor, PSI0, n_samples, 19)
+
+
+def pair_run(monkeypatch, n_workers, phase, factor, n_samples):
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    return nm.run_pair_ensemble(phase, factor, PSI0, n_samples, 19)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("field_chunk, n_samples", [
+    (7, 100),           # 15 chunks, the last one of 2 rows
+    (40, 100),          # 3 chunks, fewer than most worker counts
+])
+def test_field_ensemble_in_workers_equals_serial(monkeypatch, field_chunk, n_samples,
+                                                 n_workers):
+    """Chunks dealt over forked workers give the in-process samples and
+    states bit for bit; 64 workers is more than there are chunks."""
+    phase, factor = make_phase(seed=31, relation="general")
+    monkeypatch.setattr(nm, "FIELD_CHUNK", field_chunk)
+    serial = field_run(monkeypatch, 1, phase, factor, n_samples)
+    parallel = field_run(monkeypatch, n_workers, phase, factor, n_samples)
+    assert np.array_equal(parallel.samples, serial.samples)
+    assert np.array_equal(parallel.states, serial.states)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("n_samples", [131, 7])
+def test_pair_ensemble_in_workers_equals_serial(monkeypatch, n_samples, n_workers):
+    """Jackknife blocks dealt over forked workers give the in-process totals
+    bit for bit: 50 blocks of 2 or 3 samples, or 7 blocks of one."""
+    phase, factor = make_phase(seed=32, relation="general")
+    serial = pair_run(monkeypatch, 1, phase, factor, n_samples)
+    parallel = pair_run(monkeypatch, n_workers, phase, factor, n_samples)
+    for name in ("rho", "block_totals", "block_counts", "n_samples", "clipped_mass"):
+        assert np.array_equal(getattr(parallel, name), getattr(serial, name)), name
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("run, n_samples, n_forks", [
+    (field_run, nm.FIELD_CHUNK, 0),         # one chunk
+    (field_run, nm.FIELD_CHUNK + 1, 1),
+    (pair_run, 1, 0),                       # one block
+    (pair_run, 2, 1),
+])
+def test_one_unit_ensemble_forks_nothing(monkeypatch, fork_count, run, n_samples, n_forks):
+    """An ensemble of one unit runs in-process; two units on two workers
+    fork one, since the caller runs its own share."""
+    phase, factor = make_phase(seed=33)
+    run(monkeypatch, 2, phase, factor, n_samples)
+    assert len(fork_count) == n_forks
+    assert multiprocessing.active_children() == []
+
+
+def fail_in_workers(real):
+    """A unit runner that raises a NumericFailureError in every process but
+    the caller's."""
+    caller = os.getpid()
+
+    def run(*args):
+        if os.getpid() != caller:
+            raise NumericFailureError("non-finite amplitude", step_index=17)
+        return real(*args)
+
+    return run
+
+
+@pytest.mark.parametrize("run, runner", [(field_run, "_field_chunks"),
+                                         (pair_run, "_pair_blocks")])
+def test_worker_failure_reaches_the_caller_typed(monkeypatch, run, runner):
+    monkeypatch.setattr(nm, runner, fail_in_workers(getattr(nm, runner)))
+    monkeypatch.setattr(nm, "FIELD_CHUNK", 7)
+    phase, factor = make_phase(seed=34)
+    with pytest.raises(NumericFailureError, match="^non-finite amplitude$") as info:
+        run(monkeypatch, 3, phase, factor, 100)
+    assert info.value.step_index == 17
+    assert multiprocessing.active_children() == []
+
+
+def test_ensemble_inside_a_worker_runs_in_process(monkeypatch, fork_count):
+    """A share never forks again: an ensemble run inside the worker's share
+    or the caller's steps every chunk itself and equals the serial run."""
+    phase, factor = make_phase(seed=35)
+    monkeypatch.setattr(nm, "FIELD_CHUNK", 7)
+    serial = field_run(monkeypatch, 1, phase, factor, 50)
+
+    def nested(units):
+        before = len(fork_count)
+        ens = nm.run_field_ensemble(phase, factor, PSI0, 50, 19)
+        return len(fork_count) - before, ens.samples.copy(), ens.states.copy()
+
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    caller, worker = workers.in_workers(nested, [0, 1])
+    assert (caller[0], worker[0]) == (0, 0)
+    assert len(fork_count) == 1
+    for _, samples, states in (caller, worker):
+        assert np.array_equal(samples, serial.samples)
+        assert np.array_equal(states, serial.states)
+    assert multiprocessing.active_children() == []

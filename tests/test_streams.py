@@ -15,6 +15,18 @@ def test_stream_rejects_values_outside_64_bits(seed, index):
         normal_rows(seed, [index], (2, 3))
 
 
+@pytest.mark.parametrize("bad", [-1, 2 ** 64])
+def test_one_bad_index_inside_a_long_list_is_refused(bad):
+    """The check looks at the smallest and largest index, so one bad index
+    anywhere among 1,000 good ones is found."""
+    indices = list(range(1000))
+    indices[517] = bad
+    with pytest.raises(ValueError, match=r"^master_seed and index must lie in \[0, 2\*\*64\)$"):
+        normal_rows(3, indices, (2,))
+    with pytest.raises(ValueError, match=r"^master_seed and index must lie in \[0, 2\*\*64\)$"):
+        NormalSlabs(1000).start(3, indices)
+
+
 def test_stream_key_is_seed_low_and_index_high():
     top = 2 ** 64 - 1
     for seed, index in [(7, 0), (7, 5), (top, top)]:
